@@ -1,11 +1,9 @@
 """Exact cell structure and decision-boundary topology of ReLU networks."""
 
-from .signs import SignSequence, product, is_face, codimension, coface_candidates
+from .signs import SignSequence, product
 from .model import (
-    AffineFunctional,
     AffineLayer,
     ModelFormatError,
-    NodeIndex,
     ReluNetwork,
     node_map_values,
     node_map_value_matrix,

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ReluNetwork, node_map_values, node_map_value_matrix, region_affine_maps
+from .model import ReluNetwork, node_map_value_matrix, region_affine_maps
 from .signs import SignSequence, cube_completions
 
 __all__ = [
@@ -51,7 +51,7 @@ class DuplicateMismatch(Exception):
 
 
 class ArchitectureUnsupported(Exception):
-    """Architecture outside the builder's contract (needs n_1 >= n_0)."""
+    """Architecture outside the builder's contract (needs n_0 >= 2 and n_1 >= n_0)."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,8 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
     """
     n0 = net.n0
     n1 = net.architecture[1]
+    if n0 < 2:
+        raise ArchitectureUnsupported(f"input dimension n_0 = {n0}, needs n_0 >= 2")
     if n1 < n0:
         raise ArchitectureUnsupported(
             f"first hidden layer has {n1} units, needs at least n_0 = {n0}"
@@ -231,16 +233,12 @@ def extend_layer(
     for region in regions:
         members = incidence.get(region, [])
         if not members:
-            if n0 >= 2:
-                raise DegenerateNetwork(
-                    f"region {region} has no incident vertices to draw old equations from"
-                )
-            continue
-        fns = region_affine_maps(net, region, k)
-        old_normals = np.array([f.normal for f in fns[:base]])
-        old_offsets = np.array([f.offset for f in fns[:base]])
-        new_normals = np.array([f.normal for f in fns[base:]])
-        new_offsets = np.array([f.offset for f in fns[base:]])
+            raise DegenerateNetwork(
+                f"region {region} has no incident vertices to draw old equations from"
+            )
+        normals, offsets = region_affine_maps(net, region, k)
+        old_normals, new_normals = normals[:base], normals[base:]
+        old_offsets, new_offsets = offsets[:base], offsets[base:]
         region_entries = region.entries
         sign_arr = np.array(region_entries, dtype=float)
 

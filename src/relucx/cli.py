@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 unreadable or malformed model file, 2 degenerate
 network, 3 unsupported architecture, 4 sampling oracle found a region the
-builder missed.
+builder missed.  Invalid flag values rejected by the argument parser exit 2.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +24,13 @@ from .builder import (
     Tolerances,
     build_complex,
 )
-from .model import ModelFormatError, ReluNetwork, random_init, read_model
+from .model import (
+    ModelFormatError,
+    ReluNetwork,
+    _check_architecture,
+    random_init,
+    read_model,
+)
 from .oracle import SampleGrid, sample_region_signs
 from .topology import assemble, betti_gf2, compactify, decision_boundary, render_db_svg
 
@@ -48,8 +52,12 @@ class ExperimentConfig:
     trials: int
     seed: int
     out_dir: str
-    threads: int = 1
     tolerances: Tolerances = Tolerances()
+
+    def __post_init__(self):
+        _check_architecture(self.architecture)
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -100,21 +108,13 @@ def _run_trial(arch: tuple[int, ...], base_seed: int, trial: int, tol: Tolerance
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[StatsRow, list]:
-    """Run all trials (possibly threaded) and aggregate in trial order."""
-    if config.trials < 1:
-        raise ValueError("need at least one trial")
+    """Run all trials in trial order and aggregate them."""
     if config.trials < 2:
         print("warning: single trial, standard errors reported as 0", file=sys.stderr)
-    tol = config.tolerances
-
-    def job(t: int):
-        return _run_trial(config.architecture, config.seed, t, tol)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, range(config.trials)))
-    else:
-        results = [job(t) for t in range(config.trials)]
+    results = [
+        _run_trial(config.architecture, config.seed, t, config.tolerances)
+        for t in range(config.trials)
+    ]
 
     n0 = config.architecture[0]
     rows = []
@@ -244,14 +244,17 @@ def cmd_experiment(args) -> int:
     except ValueError:
         print(f"error: cannot parse architecture {args.arch!r}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    config = ExperimentConfig(
-        architecture=arch,
-        trials=args.trials,
-        seed=args.seed,
-        out_dir=args.out,
-        threads=args.threads,
-        tolerances=tol,
-    )
+    try:
+        config = ExperimentConfig(
+            architecture=arch,
+            trials=args.trials,
+            seed=args.seed,
+            out_dir=args.out,
+            tolerances=tol,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL
     try:
         summary, rows = run_experiment(config)
     except DegenerateNetwork as exc:
@@ -318,14 +321,16 @@ def _box_pair(text: str) -> tuple[float, float]:
     lo, hi = float(parts[0]), float(parts[1])
     if not hi > lo:
         raise argparse.ArgumentTypeError("box must satisfy lo < hi")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError("box must have a finite width hi - lo")
     return lo, hi
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RELUCX_THREADS", "1")))
-    except ValueError:
-        return 1
+def _resolution(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"resolution must be at least 2, got {value}")
+    return value
 
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
@@ -353,14 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=50)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", default=".")
-    p_exp.add_argument("--threads", type=int, default=_default_threads())
+    p_exp.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: trials run serially"
+    )
     _add_tolerance_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_oracle = sub.add_parser("oracle-check", help="compare builder regions to sampling")
     p_oracle.add_argument("--model", required=True)
     p_oracle.add_argument("--box", type=_box_pair, default=(-20.0, 20.0))
-    p_oracle.add_argument("--resolution", type=int, default=400)
+    p_oracle.add_argument("--resolution", type=_resolution, default=400)
     _add_tolerance_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser

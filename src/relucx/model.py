@@ -20,8 +20,6 @@ from .signs import SignSequence
 __all__ = [
     "AffineLayer",
     "ReluNetwork",
-    "NodeIndex",
-    "AffineFunctional",
     "ModelFormatError",
     "node_map_values",
     "node_map_value_matrix",
@@ -99,37 +97,6 @@ class ReluNetwork:
         return sum(self.architecture[1:layer])
 
 
-@dataclass(frozen=True)
-class NodeIndex:
-    """Node map address: 1-based layer and unit, plus the 0-based flat index."""
-
-    layer: int
-    unit: int
-    flat: int
-
-
-def node_index_table(architecture: Sequence[int]) -> list[NodeIndex]:
-    arch = _check_architecture(architecture)
-    out = []
-    flat = 0
-    for layer, width in enumerate(arch[1:], start=1):
-        for unit in range(1, width + 1):
-            out.append(NodeIndex(layer, unit, flat))
-            flat += 1
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class AffineFunctional:
-    """Affine map R^{n_0} -> R, x -> normal @ x + offset."""
-
-    normal: np.ndarray
-    offset: float
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.normal @ x + self.offset)
-
-
 def node_map_value_matrix(net: ReluNetwork, points: np.ndarray) -> np.ndarray:
     """Node map values at many points; rows are points, columns node maps."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -152,14 +119,15 @@ def node_map_values(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
 
 def region_affine_maps(
     net: ReluNetwork, region_signs: SignSequence, upto_layer: int
-) -> list[AffineFunctional]:
-    """Affine functionals of all node maps of layers 1..upto_layer on one region.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Affine maps of all node maps of layers 1..upto_layer on one region.
 
     `region_signs` fixes the activation pattern: it must cover the node maps of
     layers strictly below `upto_layer` with no zero entries.  On the closed
     region selected by those signs, every node map of layers <= upto_layer
-    restricts to an affine function of the input; the returned list gives those
-    functionals in flat node order.
+    restricts to an affine function x -> normal @ x + offset of the input.
+    Returns `(normals, offsets)` of shapes (m, n_0) and (m,), rows in flat node
+    order, where m = n_1 + ... + n_upto_layer.
     """
     if not 1 <= upto_layer <= net.depth + 1:
         raise ValueError(f"upto_layer must be in 1..{net.depth + 1}, got {upto_layer}")
@@ -171,25 +139,21 @@ def region_affine_maps(
     if region_signs.n_zeros():
         raise ValueError("region signs must have no zero entries")
 
-    entries = region_signs.entries
-    out: list[AffineFunctional] = []
-    mat = net.layers[0].weights.astype(float, copy=True)
-    off = net.layers[0].bias.astype(float, copy=True)
+    active = np.array(region_signs.entries) > 0
+    mat = net.layers[0].weights.astype(float)
+    off = net.layers[0].bias.astype(float)
+    normals, offsets = [mat], [off]
     pos = 0
-    for layer_no in range(1, upto_layer + 1):
+    for layer_no in range(1, upto_layer):
         width = net.architecture[layer_no]
-        for j in range(width):
-            out.append(AffineFunctional(mat[j].copy(), float(off[j])))
-        if layer_no == upto_layer:
-            break
-        mask = np.array(
-            [1.0 if entries[pos + j] > 0 else 0.0 for j in range(width)]
-        )
+        mask = active[pos : pos + width].astype(float)
         pos += width
         nxt = net.layers[layer_no]
         mat = nxt.weights @ (mask[:, None] * mat)
         off = nxt.weights @ (mask * off) + nxt.bias
-    return out
+        normals.append(mat)
+        offsets.append(off)
+    return np.concatenate(normals), np.concatenate(offsets)
 
 
 def random_init(architecture: Sequence[int], seed: int) -> ReluNetwork:

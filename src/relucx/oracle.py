@@ -9,7 +9,7 @@ for a fine enough grid the two sets coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,8 @@ class SampleGrid:
         for lo, hi in zip(self.lower, self.upper):
             if not hi > lo:
                 raise ValueError("box must have positive extent on every axis")
+            if not isfinite(hi - lo):
+                raise ValueError("box must have finite bounds and extent on every axis")
 
     @classmethod
     def square(cls, lo: float, hi: float, n0: int, resolution: int) -> "SampleGrid":

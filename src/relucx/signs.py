@@ -3,8 +3,8 @@
 A cell of the polyhedral complex carved out by a ReLU network is identified
 by the vector of signs (-1, 0, +1) that the node maps take on its relative
 interior.  This module implements that combinatorial layer in isolation:
-sequences, the idempotent face product, the face relation it induces, and
-the coface candidates obtained by resolving a single zero.
+sequences, the idempotent face product (a is a face of b exactly when
+product(a, b) == b), and the cube completions obtained by resolving zeros.
 
 Sequences are packed two bits per entry into a single Python integer so
 that equality, hashing and the canonical order are plain integer operations.
@@ -22,9 +22,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "SignSequence",
     "product",
-    "is_face",
-    "codimension",
-    "coface_candidates",
 ]
 
 
@@ -102,9 +99,6 @@ class SignSequence:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SignSequence)
@@ -120,9 +114,6 @@ class SignSequence:
 
     def __le__(self, other: "SignSequence") -> bool:
         return (self.n, self.key) <= (other.n, other.key)
-
-    def __mul__(self, other: "SignSequence") -> "SignSequence":
-        return product(self, other)
 
     def text(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
@@ -145,29 +136,6 @@ def product(a: SignSequence, b: SignSequence) -> SignSequence:
     zf = a._zero_bits()
     zf |= zf << 1  # widen to full two-bit fields
     return SignSequence(a.n, (a.key & ~zf) | (b.key & zf))
-
-
-def is_face(a: SignSequence, b: SignSequence) -> bool:
-    """True iff the cell of a is a face of the cell of b (product(a, b) == b)."""
-    return product(a, b).key == b.key
-
-
-def codimension(a: SignSequence) -> int:
-    """Number of zero entries; equals n_0 minus the cell dimension."""
-    return a.n_zeros()
-
-
-def coface_candidates(a: SignSequence) -> list[SignSequence]:
-    """Sequences obtained by resolving exactly one zero of a to +1 or -1.
-
-    Every cell having a as a facet appears in this list; membership in an
-    actual complex still has to be checked by the caller.
-    """
-    out = []
-    for p in a.zero_positions():
-        out.append(a.replace(p, 1))
-        out.append(a.replace(p, -1))
-    return out
 
 
 def cube_completions(a: SignSequence, values: tuple[int, ...] = (-1, 0, 1)) -> Iterator[SignSequence]:

@@ -289,8 +289,8 @@ def render_db_svg(
     segments = []
     for seq in db.grading[1]:
         prefix = SignSequence.from_entries(seq.entries[:-1])
-        fn = region_affine_maps(net, prefix, net.depth + 1)[-1]
-        normal = fn.normal
+        normals, offsets = region_affine_maps(net, prefix, net.depth + 1)
+        normal, offset = normals[-1], offsets[-1]
         norm = float(np.linalg.norm(normal))
         if norm == 0.0:
             continue
@@ -314,7 +314,7 @@ def render_db_svg(
             a, b = v, v + reach * d
         else:
             center = np.array([(lo + hi) / 2.0, (lo + hi) / 2.0])
-            foot = center - normal * (fn.value(center)) / (norm * norm)
+            foot = center - normal * float(normal @ center + offset) / (norm * norm)
             a, b = foot - reach * direction, foot + reach * direction
         clipped = _clip_segment(a, b, lo, hi)
         if clipped is not None:

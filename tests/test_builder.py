@@ -17,7 +17,7 @@ from relucx import (
     cube_closure,
     extend_layer,
     first_layer_vertices,
-    is_face,
+    product,
     random_init,
 )
 from relucx.builder import _merge_vertex
@@ -207,9 +207,9 @@ def test_closure_purity_and_region_incidence(arch, seed):
     for zeros, grade in closure.graded.items():
         for cell in grade:
             assert cell.n_zeros() == zeros
-            assert any(is_face(v, cell) for v in verts)
+            assert any(product(v, cell) == cell for v in verts)
     for region in state.regions:
-        assert any(is_face(v, region) for v in verts)
+        assert any(product(v, region) == region for v in verts)
 
 
 def test_single_vertex_cube_closure():
@@ -316,6 +316,8 @@ def test_narrow_first_layer_unsupported():
         build_complex(random_init((3, 2, 1), 0))
     with pytest.raises(ArchitectureUnsupported):
         first_layer_vertices(random_init((3, 2, 1), 0))
+    with pytest.raises(ArchitectureUnsupported):
+        first_layer_vertices(random_init((1, 3, 1), 0))
 
 
 def test_extend_layer_contract_errors(hand_net):

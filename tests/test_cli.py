@@ -226,6 +226,18 @@ def test_experiment_bad_arch(tmp_path, capsys):
     assert "architecture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "arch,trials,expected",
+    [("2,0,1", "2", EXIT_BAD_MODEL), ("2,3,1", "0", EXIT_BAD_MODEL), ("1,3,1", "2", EXIT_UNSUPPORTED)],
+)
+def test_experiment_input_errors(tmp_path, capsys, arch, trials, expected):
+    argv = ["experiment", "--arch", arch, "--trials", trials, "--out", str(tmp_path)]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "stats.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 
@@ -281,16 +293,15 @@ def test_box_pair_parsing():
         _box_pair("5,1")
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("RELUCX_THREADS", "3")
-    args = build_parser().parse_args(["experiment", "--arch", "2,3,1"])
-    assert args.threads == 3
-    monkeypatch.setenv("RELUCX_THREADS", "junk")
-    args = build_parser().parse_args(["experiment", "--arch", "2,3,1"])
-    assert args.threads == 1
-    monkeypatch.delenv("RELUCX_THREADS")
-    args = build_parser().parse_args(["experiment", "--arch", "2,3,1"])
-    assert args.threads == 1
+@pytest.mark.parametrize(
+    "flags", [["--box=-1e308,1e308", "--resolution", "50"], ["--resolution", "1"]]
+)
+def test_oracle_check_rejects_bad_grid(hand_model, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--model", hand_model, *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument" in captured.err
 
 
 def test_tolerance_flags_forwarded(hand_model, tmp_path):

@@ -14,7 +14,7 @@ from relucx import (
     region_affine_maps,
     write_model,
 )
-from relucx.model import network_from_dict, network_to_dict, node_index_table
+from relucx.model import network_from_dict, network_to_dict
 from relucx.signs import SignSequence
 
 
@@ -42,16 +42,6 @@ def test_network_properties(hand_net):
     assert hand_net.num_node_maps == 3
     assert hand_net.layer_offset(1) == 0
     assert hand_net.layer_offset(2) == 2
-
-
-def test_node_index_table():
-    table = node_index_table((2, 3, 1))
-    assert [(e.layer, e.unit, e.flat) for e in table] == [
-        (1, 1, 0),
-        (1, 2, 1),
-        (1, 3, 2),
-        (2, 1, 3),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -96,26 +86,26 @@ def test_dimension_mismatch_rejected(hand_net):
 
 def test_hand_net_region_functionals(hand_net):
     # second unit masked off: output restricts to x - 1
-    fns = region_affine_maps(hand_net, SignSequence.from_entries([1, -1]), 2)
-    assert len(fns) == 3
-    assert np.allclose(fns[2].normal, [1.0, 0.0])
-    assert fns[2].offset == pytest.approx(-1.0)
+    normals, offsets = region_affine_maps(hand_net, SignSequence.from_entries([1, -1]), 2)
+    assert normals.shape == (3, 2) and offsets.shape == (3,)
+    assert np.allclose(normals[2], [1.0, 0.0])
+    assert offsets[2] == pytest.approx(-1.0)
     # first-layer functionals are the raw rows regardless of region
-    assert np.allclose(fns[0].normal, [1.0, 0.0]) and fns[0].offset == 0.0
-    assert np.allclose(fns[1].normal, [0.0, 1.0]) and fns[1].offset == 0.0
+    assert np.allclose(normals[0], [1.0, 0.0]) and offsets[0] == 0.0
+    assert np.allclose(normals[1], [0.0, 1.0]) and offsets[1] == 0.0
 
 
 def test_all_positive_region_is_plain_composition():
     net = random_init((3, 4, 4, 1), 2)
     signs = SignSequence.from_entries([1] * 8)
-    fns = region_affine_maps(net, signs, 3)
+    normals, offsets = region_affine_maps(net, signs, 3)
     w1, b1 = net.layers[0].weights, net.layers[0].bias
     w2, b2 = net.layers[1].weights, net.layers[1].bias
     w3, b3 = net.layers[2].weights, net.layers[2].bias
     mat = w3 @ w2 @ w1
     off = w3 @ (w2 @ b1 + b2) + b3
-    assert np.allclose(fns[-1].normal, mat[0])
-    assert fns[-1].offset == pytest.approx(off[0])
+    assert np.allclose(normals[-1], mat[0])
+    assert offsets[-1] == pytest.approx(off[0])
 
 
 def test_region_functionals_match_values_inside_region():
@@ -128,8 +118,8 @@ def test_region_functionals_match_values_inside_region():
         if np.any(np.abs(row) < 1e-6):
             continue
         prefix = SignSequence.from_entries([1 if v > 0 else -1 for v in row[:5]])
-        fns = region_affine_maps(net, prefix, 2)
-        got = np.array([f.value(x) for f in fns])
+        normals, offsets = region_affine_maps(net, prefix, 2)
+        got = normals @ x + offsets
         assert np.allclose(got, row, rtol=1e-9, atol=1e-12)
         checked += 1
         if checked >= 100:

@@ -24,6 +24,10 @@ def test_sample_grid_validation():
         SampleGrid((0.0, 0.0), (1.0, 1.0), 1)
     with pytest.raises(ValueError):
         SampleGrid((0.0, 2.0), (1.0, 1.0), 10)
+    with pytest.raises(ValueError):
+        SampleGrid.square(-1e308, 1e308, 2, 50)  # extent overflows to inf
+    with pytest.raises(ValueError):
+        SampleGrid((0.0, 0.0), (1.0, float("inf")), 10)
 
 
 def test_sample_grid_points():

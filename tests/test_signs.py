@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relucx import SignSequence, codimension, coface_candidates, is_face, product
+from relucx import SignSequence, product
 from relucx.signs import cube_completions
 
 S = SignSequence.from_entries
@@ -47,30 +47,11 @@ def test_product_table_values():
     assert product(v, S([1, 1, -1, 0])) == S([1, 1, -1, 0])
 
 
-def test_is_face_examples():
-    assert is_face(S([1, 1, 0, 0]), S([1, 1, -1, 0]))
-    assert not is_face(S([1, 1, -1, 0]), S([1, 1, 1, -1]))
+def test_face_examples():
+    assert product(S([1, 1, 0, 0]), S([1, 1, -1, 0])) == S([1, 1, -1, 0])
+    assert product(S([1, 1, -1, 0]), S([1, 1, 1, -1])) != S([1, 1, 1, -1])
     a = S([1, -1, 0, 1])
-    assert is_face(a, a)
-
-
-def test_codimension_examples():
-    assert codimension(S([1, 1, 0, 0])) == 2
-    assert codimension(S([1, -1, 1, -1])) == 0
-    assert codimension(S([0] * 7)) == 7
-
-
-def test_coface_candidates_enumeration():
-    assert coface_candidates(S([1, 0])) == [S([1, 1]), S([1, -1])]
-    assert len(coface_candidates(S([0, 0]))) == 4
-    assert coface_candidates(S([1, -1, 1])) == []
-    # each candidate has exactly one zero fewer and the original as a face
-    a = S([0, 1, 0, -1, 0])
-    cands = coface_candidates(a)
-    assert len(cands) == 2 * a.n_zeros()
-    for c in cands:
-        assert c.n_zeros() == a.n_zeros() - 1
-        assert is_face(a, c)
+    assert product(a, a) == a
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +80,7 @@ def test_entries_accessors():
     assert a.zero_positions() == (1, 3)
     assert a.n_zeros() == 2
     assert len(a) == 4
-    assert list(a) == [1, 0, -1, 0]
+    assert list(a.entries) == [1, 0, -1, 0]
     assert a.replace(1, 1) == S([1, 1, -1, 0])
     assert a.concat([0, 1]) == S([1, 0, -1, 0, 0, 1])
     with pytest.raises(IndexError):
@@ -131,7 +112,7 @@ def test_cube_completions_counts():
     regions = list(cube_completions(a, values=(-1, 1)))
     assert len(regions) == 2 ** a.n_zeros()
     assert all(r.n_zeros() == 0 for r in regions)
-    assert all(is_face(a, r) for r in regions)
+    assert all(product(a, r) == r for r in regions)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +123,6 @@ def test_product_matches_naive_exhaustively_n2():
     for a in all_sequences(2):
         for b in all_sequences(2):
             assert product(a, b) == naive_product(a, b)
-
-
-def test_is_face_matches_definition_exhaustively_n3():
-    for a in all_sequences(3):
-        for b in all_sequences(3):
-            assert is_face(a, b) == (product(a, b) == b)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +157,7 @@ def test_absorption_characterizes_faces(triple):
     agree_off_za = all(
         a.entry(i) == b.entry(i) for i in range(a.n) if i not in za
     )
-    assert is_face(a, b) == (zb <= za and agree_off_za)
+    assert (product(a, b) == b) == (zb <= za and agree_off_za)
 
 
 @settings(max_examples=300)
@@ -194,8 +169,8 @@ def test_commutativity_iff_no_opposition(triple):
 
 
 @given(sign_entries)
-def test_codimension_counts_zeros(entries):
-    assert codimension(S(entries)) == sum(1 for e in entries if e == 0)
+def test_n_zeros_counts_zeros(entries):
+    assert S(entries).n_zeros() == sum(1 for e in entries if e == 0)
 
 
 @settings(max_examples=300)
@@ -210,7 +185,7 @@ def test_product_zeros_are_common_zeros(triple):
 @given(seq_triples())
 def test_face_relation_is_partial_order(triple):
     a, b, c = triple
-    if is_face(a, b) and is_face(b, a):
+    if product(a, b) == b and product(b, a) == a:
         assert a == b
-    if is_face(a, b) and is_face(b, c):
-        assert is_face(a, c)
+    if product(a, b) == b and product(b, c) == c:
+        assert product(a, c) == c
