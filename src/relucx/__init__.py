@@ -1,6 +1,6 @@
 """Exact cell structure and decision-boundary topology of ReLU networks."""
 
-from .signs import SignSequence, product
+from .signs import SignSequence, cube_closure, product
 from .model import (
     AffineLayer,
     ModelFormatError,
@@ -20,7 +20,6 @@ from .builder import (
     Tolerances,
     Vertex,
     build_complex,
-    cube_closure,
     extend_layer,
     first_layer_vertices,
 )

@@ -11,6 +11,15 @@ maps at it match the region's signs.  Zeros of the solved equations are
 structural: they are recorded from the system, never thresholded from
 evaluations.
 
+Within a region every candidate system is gathered into one (B, n_0, n_0)
+batch and solved by a single `np.linalg.solve` call.  A vectorised screen
+(finite solution, residual, signs of the remaining earlier maps) drops the
+candidates that cannot be accepted; its margins cover the rounding gap
+between batched and single evaluations, so it only ever keeps a superset of
+the accepted candidates.  The survivors are then visited in candidate order
+and run through the exact per-candidate checks, which alone decide
+acceptance and raise on degeneracy.
+
 Regions are never solved for directly; after every layer they are
 regenerated as the all-nonzero completions of the vertex sign sequences,
 which is exactly the top grade of the cube closure.
@@ -18,24 +27,21 @@ which is exactly the top grade of the cube closure.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix, region_affine_maps
-from .signs import SignSequence, cube_completions
+from .signs import SignSequence, cube_closure, cube_completions
 
 __all__ = [
     "Tolerances",
     "Vertex",
     "LayerBuildState",
-    "CubeClosure",
     "DegenerateNetwork",
     "DuplicateMismatch",
     "ArchitectureUnsupported",
-    "cube_closure",
     "first_layer_vertices",
     "extend_layer",
     "build_complex",
@@ -82,22 +88,6 @@ class LayerBuildState:
     covered: int
     vertices: dict[SignSequence, Vertex] = field(default_factory=dict)
     regions: set[SignSequence] = field(default_factory=set)
-
-
-CubeClosure = namedtuple("CubeClosure", ["graded", "regions"])
-
-
-def cube_closure(vertex_signs) -> CubeClosure:
-    """Close a set of vertex sequences under resolving zeros to +1/-1.
-
-    Returns the cells graded by zero count together with the zero-zero grade
-    (the top-dimensional regions) as a separate set.
-    """
-    graded: dict[int, set[SignSequence]] = {}
-    for v in vertex_signs:
-        for cell in cube_completions(v):
-            graded.setdefault(cell.n_zeros(), set()).add(cell)
-    return CubeClosure(graded, graded.get(0, set()))
 
 
 def _region_incidence(vertices: dict[SignSequence, Vertex]) -> dict[SignSequence, list[Vertex]]:
@@ -184,6 +174,77 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
     return LayerBuildState(layer=1, covered=n1, vertices=vertices, regions=closure_regions)
 
 
+def _candidate_rows(
+    new_rows: dict[int, np.ndarray], olds_by_size: dict[int, set[tuple[int, ...]]], n0: int
+) -> np.ndarray:
+    """Row indices into a region's maps of every candidate system, shape (B, n_0).
+
+    Candidates run over l ascending, then the l-subsets of new rows in
+    combinations order, then the (n_0 - l)-subsets of old rows in sorted
+    order; each row lists its new-layer rows first.
+    """
+    blocks = []
+    for ell, news in new_rows.items():
+        subsets = sorted(olds_by_size[n0 - ell])
+        olds = np.array(subsets, dtype=np.intp).reshape(len(subsets), n0 - ell)
+        blocks.append(
+            np.hstack([np.repeat(news, len(olds), axis=0), np.tile(olds, (len(news), 1))])
+        )
+    return np.concatenate(blocks)
+
+
+def _solve_and_screen(
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    rows: np.ndarray,
+    sign_arr: np.ndarray,
+    tol: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every candidate system of a region at once and screen the solutions.
+
+    Returns the systems `mats` (B, n_0, n_0) and `rhss` (B, n_0), the
+    solutions `xs` (B, n_0), NaN where a system is exactly singular, and a
+    mask `keep` (B,) of the candidates that may pass the exact checks.  The
+    mask is a superset of those: each margin is twice the tolerance plus a
+    bound on the gap between two evaluations of the same (n_0 + 1)-term sum
+    in different orders, so batched rounding never drops a candidate that
+    the per-candidate residual and sign checks would accept or raise on.
+    """
+    base = len(sign_arr)
+    mats = normals[rows]
+    rhss = offsets[rows]
+    try:
+        xs = np.linalg.solve(mats, -rhss[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Some member is exactly singular (parallel within the region, e.g. a
+        # new-layer map that is constant there); solve the others.  A zero
+        # slogdet sign is the LU factorisation's zero pivot that solve rejects.
+        xs = np.full(rhss.shape, np.nan)
+        ok = np.linalg.slogdet(mats)[0] != 0
+        if ok.any():
+            xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
+    gap = 2 * (normals.shape[1] + 1) * np.finfo(float).eps
+    with np.errstate(invalid="ignore", over="ignore"):
+        abs_xs = np.abs(xs)
+        resid = np.abs(np.einsum("bij,bj->bi", mats, xs) + rhss)
+        resid_gap = gap * (np.einsum("bij,bj->bi", np.abs(mats), abs_xs) + np.abs(rhss))
+        vals = xs @ normals[:base].T + offsets[:base]
+        vals_gap = gap * (abs_xs @ np.abs(normals[:base]).T + np.abs(offsets[:base]))
+        remaining = np.ones((len(rows), len(offsets)), dtype=bool)
+        remaining[np.arange(len(rows))[:, None], rows] = False
+        remaining = remaining[:, :base]
+        # Written as "not provably out" so that a NaN from overflow keeps the
+        # candidate, as it would pass the exact checks' comparisons too.
+        agree = ~remaining | (np.sign(vals) == sign_arr)
+        near = remaining & ~(np.abs(vals) >= 2 * tol.degeneracy_tol + vals_gap)
+        keep = (
+            np.isfinite(xs).all(axis=1)
+            & ~np.any(resid > 2 * tol.residual_tol + resid_gap, axis=1)
+            & (agree.all(axis=1) | near.any(axis=1))
+        )
+    return mats, rhss, xs, keep
+
+
 def extend_layer(
     net: ReluNetwork,
     k: int,
@@ -229,7 +290,11 @@ def extend_layer(
         if set(regions) != set(state.regions):
             raise ValueError("region_order must enumerate exactly the state's regions")
     discovered: dict[SignSequence, Vertex] = {}
-    subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
+    ells = range(1, min(n0, n_k) + 1)
+    new_rows = {
+        ell: base + np.array(list(combinations(range(n_k), ell)), dtype=np.intp)
+        for ell in ells
+    }
     for region in regions:
         members = incidence.get(region, [])
         if not members:
@@ -242,73 +307,58 @@ def extend_layer(
         region_entries = region.entries
         sign_arr = np.array(region_entries, dtype=float)
 
-        olds_by_size: dict[int, set[tuple[int, ...]]] = {s: set() for s in subset_sizes}
+        olds_by_size: dict[int, set[tuple[int, ...]]] = {n0 - ell: set() for ell in ells}
         for vert in members:
-            for s in subset_sizes:
+            for s in olds_by_size:
                 olds_by_size[s].update(combinations(vert.zero_set, s))
+        rows = _candidate_rows(new_rows, olds_by_size, n0)
+        mats, rhss, xs, keep = _solve_and_screen(normals, offsets, rows, sign_arr, tol)
 
-        for ell in range(1, min(n0, n_k) + 1):
-            for new_subset in combinations(range(n_k), ell):
-                m_new = new_normals[list(new_subset)]
-                c_new = new_offsets[list(new_subset)]
-                for old_subset in sorted(olds_by_size[n0 - ell]):
-                    if old_subset:
-                        mat = np.vstack([m_new, old_normals[list(old_subset)]])
-                        rhs = np.concatenate([c_new, old_offsets[list(old_subset)]])
-                    else:
-                        mat, rhs = m_new, c_new
-                    try:
-                        x = np.linalg.solve(mat, -rhs)
-                    except np.linalg.LinAlgError:
-                        continue  # parallel within the region: no intersection here
-                    if not np.all(np.isfinite(x)):
-                        continue
-                    # Structurally parallel systems (rank-deficient regions make
-                    # new-layer functionals exact multiples of old ones) float
-                    # through solve with det ~ eps and a pseudo-solution at
-                    # ~1/eps scale.  Backward stability keeps |mat @ x + rhs|
-                    # tiny for every genuine finite intersection, so a large
-                    # absolute residual identifies "no intersection", not a
-                    # tolerance failure.
-                    residual = float(np.max(np.abs(mat @ x + rhs)))
-                    if residual > tol.residual_tol:
-                        continue
-                    vals_old = old_normals @ x + old_offsets
-                    remaining = np.ones(base, dtype=bool)
-                    remaining[list(old_subset)] = False
-                    near = np.abs(vals_old[remaining]) < tol.degeneracy_tol
-                    if near.any():
-                        raise DegenerateNetwork(
-                            f"layer {k}, region {region}: remaining node map within "
-                            f"degeneracy tolerance of 0 at a candidate vertex"
-                        )
-                    if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
-                        continue
-                    # accepted: x is a vertex in the closure of this region
-                    cond = float(np.linalg.cond(mat))
-                    if not np.isfinite(cond) or cond > tol.cond_max:
-                        raise DegenerateNetwork(
-                            f"layer {k}, region {region}: accepted system has "
-                            f"condition estimate {cond:.3e}"
-                        )
-                    vals_new = new_normals @ x + new_offsets
-                    entries = [
-                        0 if f in old_subset else region_entries[f] for f in range(base)
-                    ]
-                    for j in range(n_k):
-                        if j in new_subset:
-                            entries.append(0)
-                        else:
-                            entries.append(
-                                _strict_sign(vals_new[j], tol, f"layer {k}, region {region}")
-                            )
-                    signs = SignSequence.from_entries(entries)
-                    zero_set = tuple(sorted(old_subset)) + tuple(
-                        base + j for j in new_subset
+        # The screen only discards; these exact checks decide, in candidate order.
+        for c in np.flatnonzero(keep):
+            mat, rhs, x = mats[c], rhss[c], xs[c].copy()
+            row = rows[c].tolist()
+            old_subset = [r for r in row if r < base]
+            new_subset = [r - base for r in row if r >= base]
+            # Structurally parallel systems (rank-deficient regions make
+            # new-layer functionals exact multiples of old ones) float through
+            # solve with det ~ eps and a pseudo-solution at ~1/eps scale.
+            # Backward stability keeps |mat @ x + rhs| tiny for every genuine
+            # finite intersection, so a large absolute residual identifies
+            # "no intersection", not a tolerance failure.
+            residual = float(np.max(np.abs(mat @ x + rhs)))
+            if residual > tol.residual_tol:
+                continue
+            vals_old = old_normals @ x + old_offsets
+            remaining = np.ones(base, dtype=bool)
+            remaining[old_subset] = False
+            near = np.abs(vals_old[remaining]) < tol.degeneracy_tol
+            if near.any():
+                raise DegenerateNetwork(
+                    f"layer {k}, region {region}: remaining node map within "
+                    f"degeneracy tolerance of 0 at a candidate vertex"
+                )
+            if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
+                continue
+            # accepted: x is a vertex in the closure of this region
+            cond = float(np.linalg.cond(mat))
+            if not np.isfinite(cond) or cond > tol.cond_max:
+                raise DegenerateNetwork(
+                    f"layer {k}, region {region}: accepted system has "
+                    f"condition estimate {cond:.3e}"
+                )
+            vals_new = new_normals @ x + new_offsets
+            entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
+            for j in range(n_k):
+                if j in new_subset:
+                    entries.append(0)
+                else:
+                    entries.append(
+                        _strict_sign(vals_new[j], tol, f"layer {k}, region {region}")
                     )
-                    _merge_vertex(
-                        discovered, Vertex(x, signs, zero_set, residual, cond), tol
-                    )
+            signs = SignSequence.from_entries(entries)
+            zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
+            _merge_vertex(discovered, Vertex(x, signs, zero_set, residual, cond), tol)
 
     vertices = dict(carried)
     for signs, vert in discovered.items():

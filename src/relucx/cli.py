@@ -1,6 +1,7 @@
 """Command-line entry points: build, experiment, oracle-check.
 
-Exit codes: 0 success, 1 unreadable or malformed model file, 2 degenerate
+Exit codes: 0 success, 1 unreadable or malformed model file, bad
+`experiment` input or an `--out` that cannot be written, 2 degenerate
 network, 3 unsupported architecture, 4 sampling oracle found a region the
 builder missed.  Invalid flag values rejected by the argument parser exit 2.
 """
@@ -169,24 +170,12 @@ def write_stats_csv(path: str, summary: StatsRow, rows: list, n0: int) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_build(args) -> int:
-    tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
-    try:
-        net = read_model(args.model)
-    except (OSError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
-    try:
-        state, cx, db, report = _analyze(net, tol)
-    except DegenerateNetwork as exc:
-        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
-        return EXIT_DEGENERATE
-    except ArchitectureUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+def _out_error(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_BAD_MODEL
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+def _write_build_outputs(out: Path, state, cx, report) -> None:
     with open(out / "vertices.jsonl", "w") as fh:
         for signs in sorted(state.vertices):
             v = state.vertices[signs]
@@ -215,12 +204,39 @@ def cmd_build(args) -> int:
             fh,
         )
         fh.write("\n")
-    if args.svg:
-        if net.n0 == 2:
-            coords = {s: v.coords for s, v in state.vertices.items()}
-            render_db_svg(net, coords, db, (args.box[0], args.box[1]), str(out / "db.svg"))
-        else:
-            print("warning: --svg ignored, rendering needs n_0 = 2", file=sys.stderr)
+
+
+def cmd_build(args) -> int:
+    tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
+    try:
+        net = read_model(args.model)
+    except (OSError, ModelFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _out_error(exc)
+    try:
+        state, cx, db, report = _analyze(net, tol)
+    except DegenerateNetwork as exc:
+        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
+        return EXIT_DEGENERATE
+    except ArchitectureUnsupported as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+
+    try:
+        _write_build_outputs(out, state, cx, report)
+        if args.svg:
+            if net.n0 == 2:
+                coords = {s: v.coords for s, v in state.vertices.items()}
+                render_db_svg(net, coords, db, (args.box[0], args.box[1]), str(out / "db.svg"))
+            else:
+                print("warning: --svg ignored, rendering needs n_0 = 2", file=sys.stderr)
+    except OSError as exc:
+        return _out_error(exc)
     counts = cx.dim_counts()
     print(
         json.dumps(
@@ -255,6 +271,11 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _out_error(exc)
     try:
         summary, rows = run_experiment(config)
     except DegenerateNetwork as exc:
@@ -263,9 +284,10 @@ def cmd_experiment(args) -> int:
     except ArchitectureUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_stats_csv(str(out / "stats.csv"), summary, rows, arch[0])
+    try:
+        write_stats_csv(str(out / "stats.csv"), summary, rows, arch[0])
+    except OSError as exc:
+        return _out_error(exc)
     print(
         json.dumps(
             {

@@ -4,7 +4,9 @@ A cell of the polyhedral complex carved out by a ReLU network is identified
 by the vector of signs (-1, 0, +1) that the node maps take on its relative
 interior.  This module implements that combinatorial layer in isolation:
 sequences, the idempotent face product (a is a face of b exactly when
-product(a, b) == b), and the cube completions obtained by resolving zeros.
+product(a, b) == b), the cube completions obtained by resolving zeros, and
+the cube closure of a set of vertex sequences, which both the builder and
+the topology layer read their cells from.
 
 Sequences are packed two bits per entry into a single Python integer so
 that equality, hashing and the canonical order are plain integer operations.
@@ -15,12 +17,15 @@ order coincide with lexicographic order under -1 < 0 < +1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Iterator
 
 __all__ = [
+    "CubeClosure",
     "SignSequence",
+    "cube_closure",
     "product",
 ]
 
@@ -146,3 +151,19 @@ def cube_completions(a: SignSequence, values: tuple[int, ...] = (-1, 0, 1)) -> I
         for p, v in zip(zeros, combo):
             s = s.replace(p, v)
         yield s
+
+
+CubeClosure = namedtuple("CubeClosure", ["graded", "regions"])
+
+
+def cube_closure(vertex_signs) -> CubeClosure:
+    """Close a set of vertex sequences under resolving zeros to +1/-1.
+
+    Returns the cells graded by zero count together with the zero-zero grade
+    (the top-dimensional regions) as a separate set.
+    """
+    graded: dict[int, set[SignSequence]] = {}
+    for v in vertex_signs:
+        for cell in cube_completions(v):
+            graded.setdefault(cell.n_zeros(), set()).add(cell)
+    return CubeClosure(graded, graded.get(0, set()))

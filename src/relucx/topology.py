@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import ReluNetwork, node_map_values, region_affine_maps
-from .signs import SignSequence
-from .builder import cube_closure
+from .signs import SignSequence, cube_closure
 
 __all__ = [
     "CubicalComplex",
@@ -83,7 +82,11 @@ class BettiReport:
 
 
 def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
-    """Full complex generated by the vertices: cube closure, graded and indexed."""
+    """Full complex generated by the vertices: cube closure, graded and indexed.
+
+    Raises `ClosureViolation` when the cells fail a closure check or do not
+    have the Euler characteristic of R^n0.
+    """
     verts = list(vertex_signs)
     if not verts:
         raise ValueError("cannot assemble a complex from zero vertices")
@@ -106,6 +109,14 @@ def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
             idx += 1
     cx = CubicalComplex(n0, cells, tuple(grading))
     validate_closure(cx)
+    # The open cells partition R^n0, whose compactly supported Euler
+    # characteristic is (-1)^n0; a missed vertex can break this while the
+    # cube closure still passes validate_closure.
+    euler = sum((-1) ** dim * count for dim, count in enumerate(cx.dim_counts()))
+    if euler != (-1) ** n0:
+        raise ClosureViolation(
+            f"cells have Euler characteristic {euler}, expected {(-1) ** n0} for R^{n0}"
+        )
     return cx
 
 

@@ -19,8 +19,9 @@ from relucx import (
     first_layer_vertices,
     product,
     random_init,
+    region_affine_maps,
 )
-from relucx.builder import _merge_vertex
+from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
 from relucx.signs import SignSequence
 
 S = SignSequence.from_entries
@@ -257,6 +258,142 @@ def test_dead_unit_build_succeeds():
     assert state.vertices
     for signs in state.vertices:
         assert signs.entry(flat) == 1
+
+
+# ---------------------------------------------------------------------------
+# batched vertex search against a per-candidate reference
+
+
+def reference_new_vertices(net, k, state, tol=Tolerances()):
+    """Layer-k vertices of `extend_layer`, found one candidate system at a time.
+
+    The same candidates in the same order as the batched search, each solved
+    by its own np.linalg.solve and checked on the spot.
+    """
+    n0, base, n_k = net.n0, net.layer_offset(k), net.architecture[k]
+    incidence = _region_incidence(state.vertices)
+    found = {}
+    subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
+    for region in sorted(state.regions):
+        normals, offsets = region_affine_maps(net, region, k)
+        old_normals, new_normals = normals[:base], normals[base:]
+        old_offsets, new_offsets = offsets[:base], offsets[base:]
+        region_entries = region.entries
+        sign_arr = np.array(region_entries, dtype=float)
+        olds_by_size = {s: set() for s in subset_sizes}
+        for vert in incidence[region]:
+            for s in subset_sizes:
+                olds_by_size[s].update(itertools.combinations(vert.zero_set, s))
+        for ell in range(1, min(n0, n_k) + 1):
+            for new_subset in itertools.combinations(range(n_k), ell):
+                m_new = new_normals[list(new_subset)]
+                c_new = new_offsets[list(new_subset)]
+                for old_subset in sorted(olds_by_size[n0 - ell]):
+                    if old_subset:
+                        mat = np.vstack([m_new, old_normals[list(old_subset)]])
+                        rhs = np.concatenate([c_new, old_offsets[list(old_subset)]])
+                    else:
+                        mat, rhs = m_new, c_new
+                    try:
+                        x = np.linalg.solve(mat, -rhs)
+                    except np.linalg.LinAlgError:
+                        continue
+                    if not np.all(np.isfinite(x)):
+                        continue
+                    residual = float(np.max(np.abs(mat @ x + rhs)))
+                    if residual > tol.residual_tol:
+                        continue
+                    vals_old = old_normals @ x + old_offsets
+                    remaining = np.ones(base, dtype=bool)
+                    remaining[list(old_subset)] = False
+                    if np.any(np.abs(vals_old[remaining]) < tol.degeneracy_tol):
+                        raise DegenerateNetwork("remaining node map near 0")
+                    if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
+                        continue
+                    cond = float(np.linalg.cond(mat))
+                    if not np.isfinite(cond) or cond > tol.cond_max:
+                        raise DegenerateNetwork("accepted system ill-conditioned")
+                    vals_new = new_normals @ x + new_offsets
+                    entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
+                    entries += [
+                        0 if j in new_subset else _strict_sign(vals_new[j], tol, "reference")
+                        for j in range(n_k)
+                    ]
+                    signs = S(entries)
+                    zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
+                    _merge_vertex(found, Vertex(x, signs, zero_set, residual, cond), tol)
+    return found
+
+
+def assert_layers_match_reference(net):
+    state = first_layer_vertices(net)
+    for k in range(2, net.depth + 2):
+        nxt = extend_layer(net, k, state)
+        base = net.layer_offset(k)
+        got = {s: v for s, v in nxt.vertices.items() if v.zero_set[-1] >= base}
+        ref = reference_new_vertices(net, k, state)
+        assert got.keys() == ref.keys()
+        for signs, v in ref.items():
+            w = got[signs]
+            assert np.array_equal(w.coords, v.coords)
+            assert w.zero_set == v.zero_set
+            assert w.max_residual == v.max_residual
+            assert w.solve_condition == v.solve_condition
+        state = nxt
+
+
+@pytest.mark.parametrize(
+    "arch,seed",
+    [(arch, seed) for arch in ((2, 8, 8, 1), (2, 6, 6, 6, 1), (3, 6, 6, 1)) for seed in (0, 1, 2)]
+    + [((4, 6, 1), seed) for seed in (0, 1)],
+)
+def test_batched_search_matches_reference(arch, seed):
+    assert_layers_match_reference(random_init(arch, seed))
+
+
+def test_batched_search_with_singular_members(monkeypatch):
+    # x < 0, y < 0 switches off the whole first layer, so both layer-2 maps
+    # are constant there and every system drawing on one of them is singular
+    net = ReluNetwork(
+        (2, 2, 2, 1),
+        (
+            AffineLayer(np.eye(2), np.zeros(2)),
+            AffineLayer(np.array([[1.0, 1.0], [1.0, -2.0]]), np.array([-1.0, 0.5])),
+            AffineLayer(np.ones((1, 2)), np.array([-0.7])),
+        ),
+    )
+    solve = np.linalg.solve
+    singular_batches = []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            if np.ndim(a) == 3:
+                singular_batches.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    assert_layers_match_reference(net)
+    assert singular_batches
+
+
+def test_screen_keeps_candidates_that_raise():
+    # In the region x > 0, y > 0 both layer-2 maps extend to lines through
+    # (-1, 0).  That candidate lies outside the region, but the extension of
+    # y vanishes there, and the exact checks raise before comparing signs.
+    net = ReluNetwork(
+        (2, 2, 2, 1),
+        (
+            AffineLayer(np.eye(2), np.zeros(2)),
+            AffineLayer(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 1.0])),
+            AffineLayer(np.ones((1, 2)), np.array([-0.5])),
+        ),
+    )
+    state = first_layer_vertices(net)
+    for search in (extend_layer, reference_new_vertices):
+        with pytest.raises(DegenerateNetwork, match="remaining node map"):
+            search(net, 2, state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, determinism, fault injection."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -141,6 +142,66 @@ def test_build_constant_positive_output(tmp_path, capsys):
     assert betti == {"betti": [1, 0], "bounded": 0, "unbounded": 0}
 
 
+def test_build_out_is_a_file(hand_model, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["build", "--model", hand_model, "--out", str(out)]) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# SHA-256 of complex.jsonl, betti.json and the sorted vertex sign texts of
+# `relucx build` on random_init nets.  None of them holds a coordinate, so a
+# changed digest means changed combinatorics, not changed float printing.
+BUILD_DIGESTS = {
+    ((2, 8, 8, 1), 0): (
+        "58fd0acf805e039f4ca9267ea6dacc96132b6d7ef007911073c0b90e51d7ec91",
+        "5ceb953962fa2091b2dfe8aa3cf0e1624680e781b8bb9bd7db42565b4b8432c6",
+        "61f6355b86ed33f534265ec8b698ca81d8f745267ff80d807f4bd25540520fab",
+    ),
+    ((2, 8, 8, 1), 1): (
+        "c1cd7d401a3b5548a42718faad92971bed258a00fd0ed9805a33428252b78bc9",
+        "5ceb953962fa2091b2dfe8aa3cf0e1624680e781b8bb9bd7db42565b4b8432c6",
+        "2d7056d10785e7d9d30e18ac8e02c2a6113de4a579a82fd5dbe9b64d0fde6b93",
+    ),
+    ((3, 6, 6, 1), 0): (
+        "ed50b57f209806372c8285868adf93eb1acd38d52df26d9befddc36b93767d70",
+        "c21cb23d19654f11636c89b0d9d8a8f0e415a87636d090f0e93517928018de3b",
+        "b79468691ee18756e633fec9f8a9c6f990048a8398e45254f51d8e0c4e656f6d",
+    ),
+    ((3, 6, 6, 1), 1): (
+        "69636ca56877b00aa34de01eda41bf2f5c73d4f3fd2ec73409182b34b71a8386",
+        "e32b9cf18952aadfb2f7921fc9b030da7786bd778a0f8c0b05a8f6865f3fe504",
+        "65e192bf4b633a11a2f60c88a5d4cba4b647077d09db6029c007689d2302870e",
+    ),
+    ((2, 6, 6, 6, 1), 0): (
+        "3e04328c35410fee247c6668220d70d32bb8f59748ce3f97f4bf9d7d0eba896f",
+        "26952e36760ecdeb8e4847cacd6f16b942488ab74d732101ad317e0b3db8420f",
+        "bc064c82bb859bf9b91d3cb434d8b517e564fb0d01e93c724a3be9c0a3a109bf",
+    ),
+    ((2, 6, 6, 6, 1), 1): (
+        "0bded874ed811684fc10f4f6324badfab21c08aac7220137f552ed5ae618c2b7",
+        "283ae6ea37ef8f9ff16dfc550a19eafaf216940e40af60443f3cebf0886c8b34",
+        "e3f4051ec768d6d9e8ccc341ebf8cb6a5518e7d091862f745d2d3827754a5d4f",
+    ),
+}
+
+
+@pytest.mark.parametrize("arch,seed", sorted(BUILD_DIGESTS))
+def test_build_outputs_locked(arch, seed, tmp_path):
+    model, out = tmp_path / "m.json", tmp_path / "out"
+    write_model(random_init(arch, seed), str(model))
+    assert main(["build", "--model", str(model), "--out", str(out)]) == EXIT_OK
+    signs = sorted(json.loads(l)["signs"] for l in (out / "vertices.jsonl").read_text().splitlines())
+    got = (
+        hashlib.sha256((out / "complex.jsonl").read_bytes()).hexdigest(),
+        hashlib.sha256((out / "betti.json").read_bytes()).hexdigest(),
+        hashlib.sha256("\n".join(signs).encode()).hexdigest(),
+    )
+    assert got == BUILD_DIGESTS[arch, seed]
+
+
 # ---------------------------------------------------------------------------
 # experiment
 
@@ -218,6 +279,16 @@ def test_experiment_single_trial_flags_se(tmp_path, capsys):
     assert summary.bounded_se == 0.0
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig((2, 3, 1), trials=0, seed=5, out_dir=str(tmp_path)))
+
+
+def test_experiment_out_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = ["experiment", "--arch", "2,3,1", "--trials", "2", "--out", str(out)]
+    assert main(argv) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any trial ran
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_experiment_bad_arch(tmp_path, capsys):

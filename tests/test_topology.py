@@ -103,6 +103,14 @@ def test_validate_closure_detects_missing_face(hand_net):
         validate_closure(CubicalComplex(2, cells, grading))
 
 
+def test_assemble_rejects_missed_vertex_by_euler_characteristic():
+    # without its first vertex the closure stays closed, but one cell short
+    verts = sorted(build_complex(random_init((2, 5, 1), 5)).vertices)
+    assert assemble(verts).dim_counts() == (10, 25, 16)
+    with pytest.raises(ClosureViolation, match="Euler characteristic 0"):
+        assemble(verts[1:])
+
+
 # ---------------------------------------------------------------------------
 # boundary matrices
 
