@@ -36,7 +36,6 @@ from .topology import (
     decision_boundary,
     gf2_rank,
     render_db_svg,
-    validate_closure,
 )
 from .oracle import SampleGrid, arrangement_counts, perturb_check, sample_region_signs
 

@@ -20,9 +20,10 @@ the accepted candidates.  The survivors are then visited in candidate order
 and run through the exact per-candidate checks, which alone decide
 acceptance and raise on degeneracy.
 
-Regions are never solved for directly; after every layer they are
-regenerated as the all-nonzero completions of the vertex sign sequences,
-which is exactly the top grade of the cube closure.
+Regions are never solved for directly; after every layer one pass over the
+vertices maps each all-nonzero completion of a vertex sign sequence (a region)
+to the vertices in its closure.  Only `topology.assemble` builds the full cube
+closure, once per network.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from itertools import combinations
 import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix, region_affine_maps
-from .signs import SignSequence, cube_closure, cube_completions
+from .signs import SignSequence, cube_completions
+from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
 __all__ = [
     "Tolerances",
@@ -87,7 +89,12 @@ class LayerBuildState:
     layer: int
     covered: int
     vertices: dict[SignSequence, Vertex] = field(default_factory=dict)
-    regions: set[SignSequence] = field(default_factory=set)
+    incidence: dict[SignSequence, list[Vertex]] = field(default_factory=dict)  # region -> vertices
+
+    @property
+    def regions(self):
+        """The regions, as a read-only set-like view."""
+        return self.incidence.keys()
 
 
 def _region_incidence(vertices: dict[SignSequence, Vertex]) -> dict[SignSequence, list[Vertex]]:
@@ -105,6 +112,15 @@ def _strict_sign(value: float, tol: Tolerances, context: str) -> int:
             f"{context}: node map value {value:.3e} within degeneracy tolerance of 0"
         )
     return 1 if value > 0 else -1
+
+
+def _strict_signs(vals: np.ndarray, tol: Tolerances, context) -> np.ndarray:
+    """`_strict_sign` over an array; only its first entry near 0 calls `context(index)`."""
+    near = np.abs(vals) < tol.degeneracy_tol
+    if near.any():
+        first = np.unravel_index(near.argmax(), near.shape)
+        _strict_sign(vals[first], tol, context(first))
+    return np.where(vals > 0, 1, -1)
 
 
 def _vertex_rank(v: Vertex) -> tuple:
@@ -162,16 +178,12 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
             )
-        entries = []
-        for j in range(n1):
-            if j in alpha:
-                entries.append(0)
-            else:
-                entries.append(_strict_sign(vals[j], tol, f"first layer at {alpha}"))
-        signs = SignSequence.from_entries(entries)
+        free = [j for j in range(n1) if j not in alpha]
+        entries = np.zeros(n1, dtype=int)
+        entries[free] = _strict_signs(vals[free], tol, lambda _: f"first layer at {alpha}")
+        signs = SignSequence.from_entries(entries.tolist())
         vertices[signs] = Vertex(x, signs, alpha, residual, cond)
-    closure_regions = cube_closure(vertices).regions
-    return LayerBuildState(layer=1, covered=n1, vertices=vertices, regions=closure_regions)
+    return LayerBuildState(1, n1, vertices, _region_incidence(vertices))
 
 
 def _candidate_rows(
@@ -269,20 +281,19 @@ def extend_layer(
     # (a) carry existing vertices over, extending their signs by evaluation
     carried: dict[SignSequence, Vertex] = {}
     if state.vertices:
-        coords = np.array([v.coords for v in state.vertices.values()])
+        olds = list(state.vertices.values())
+        coords = np.array([v.coords for v in olds])
         vals = node_map_value_matrix(net, coords)[:, base : base + n_k]
-        for row, vert in zip(vals, state.vertices.values()):
-            tail = [
-                _strict_sign(row[j], tol, f"layer {k} at existing vertex {vert.signs}")
-                for j in range(n_k)
-            ]
+        tails = _strict_signs(
+            vals, tol, lambda ij: f"layer {k} at existing vertex {olds[ij[0]].signs}"
+        )
+        for tail, vert in zip(tails.tolist(), olds):
             signs = vert.signs.concat(tail)
             carried[signs] = Vertex(
                 vert.coords, signs, vert.zero_set, vert.max_residual, vert.solve_condition
             )
 
     # (b) solve for new vertices inside every region of the current complex
-    incidence = _region_incidence(state.vertices)
     if region_order is None:
         regions = sorted(state.regions)
     else:
@@ -296,11 +307,7 @@ def extend_layer(
         for ell in ells
     }
     for region in regions:
-        members = incidence.get(region, [])
-        if not members:
-            raise DegenerateNetwork(
-                f"region {region} has no incident vertices to draw old equations from"
-            )
+        members = state.incidence[region]
         normals, offsets = region_affine_maps(net, region, k)
         old_normals, new_normals = normals[:base], normals[base:]
         old_offsets, new_offsets = offsets[:base], offsets[base:]
@@ -348,15 +355,13 @@ def extend_layer(
                     f"condition estimate {cond:.3e}"
                 )
             vals_new = new_normals @ x + new_offsets
+            free = [j for j in range(n_k) if j not in new_subset]
+            tail = np.zeros(n_k, dtype=int)
+            tail[free] = _strict_signs(
+                vals_new[free], tol, lambda _: f"layer {k}, region {region}"
+            )
             entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
-            for j in range(n_k):
-                if j in new_subset:
-                    entries.append(0)
-                else:
-                    entries.append(
-                        _strict_sign(vals_new[j], tol, f"layer {k}, region {region}")
-                    )
-            signs = SignSequence.from_entries(entries)
+            signs = SignSequence.from_entries(entries + tail.tolist())
             zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
             _merge_vertex(discovered, Vertex(x, signs, zero_set, residual, cond), tol)
 
@@ -365,8 +370,7 @@ def extend_layer(
         if signs in vertices:  # cannot happen: carried keys have no layer-k zeros
             raise DuplicateMismatch(f"sign sequence {signs} already carried over")
         vertices[signs] = vert
-    regions_new = cube_closure(vertices).regions
-    return LayerBuildState(layer=k, covered=base + n_k, vertices=vertices, regions=regions_new)
+    return LayerBuildState(k, base + n_k, vertices, _region_incidence(vertices))
 
 
 def build_complex(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES) -> LayerBuildState:

@@ -21,7 +21,10 @@ from relucx import (
     random_init,
     region_affine_maps,
 )
+import relucx.builder
+import relucx.topology
 from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
+from relucx.cli import _analyze
 from relucx.signs import SignSequence
 
 S = SignSequence.from_entries
@@ -200,17 +203,48 @@ def test_vertex_invariants(arch, seed):
         assert float(gaps.min()) > 1e-7
 
 
-@pytest.mark.parametrize("arch,seed", [((2, 5, 1), 1), ((2, 4, 4, 1), 9)])
+@pytest.mark.parametrize(
+    "arch,seed", [((2, 5, 1), 1), ((2, 4, 4, 1), 9), ((3, 6, 6, 1), 0)]
+)
 def test_closure_purity_and_region_incidence(arch, seed):
-    state = build_complex(random_init(arch, seed))
-    closure = cube_closure(state.vertices)
-    verts = list(state.vertices)
+    net = random_init(arch, seed)
+    states = [first_layer_vertices(net)]
+    for k in range(2, net.depth + 2):
+        states.append(extend_layer(net, k, states[-1]))
+    for state in states:
+        # the regions are the closure's top grade, and each region's incident
+        # vertices are exactly the vertices in its closure
+        assert state.regions == cube_closure(state.vertices).regions
+        verts = list(state.vertices)
+        for region, members in state.incidence.items():
+            assert [v.signs for v in members] == [
+                v for v in verts if product(v, region) == region
+            ]
+    closure = cube_closure(verts)
     for zeros, grade in closure.graded.items():
         for cell in grade:
             assert cell.n_zeros() == zeros
             assert any(product(v, cell) == cell for v in verts)
-    for region in state.regions:
-        assert any(product(v, region) == region for v in verts)
+
+
+@pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1)])
+def test_only_assemble_runs_a_full_closure(monkeypatch, arch):
+    def refuse(vertex_signs):
+        raise AssertionError("the builder ran a full cube closure")
+
+    calls = []
+
+    def counted(vertex_signs):
+        calls.append(1)
+        return cube_closure(vertex_signs)
+
+    monkeypatch.setattr(relucx.builder, "cube_closure", refuse)
+    monkeypatch.setattr(relucx.topology, "cube_closure", counted)
+    net = random_init(arch, 0)
+    build_complex(net)
+    assert calls == []
+    _analyze(net, Tolerances())
+    assert len(calls) == 1
 
 
 def test_single_vertex_cube_closure():
@@ -430,8 +464,21 @@ def test_output_through_first_layer_vertex_is_degenerate():
         (2, 2, 1),
         (AffineLayer(np.eye(2), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.zeros(1))),
     )
-    with pytest.raises(DegenerateNetwork):
+    with pytest.raises(DegenerateNetwork, match=r"^layer 2 at existing vertex \(0,0\): node map"):
         build_complex(net)
+
+
+def test_concurrent_first_layer_lines_are_degenerate():
+    # x = 0, y = 0 and x + y = 0 meet in one point
+    net = ReluNetwork(
+        (2, 3, 1),
+        (
+            AffineLayer(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3)),
+            AffineLayer(np.ones((1, 3)), np.ones(1)),
+        ),
+    )
+    with pytest.raises(DegenerateNetwork, match=r"^first layer at \(0, 1\): node map"):
+        first_layer_vertices(net)
 
 
 def test_concurrent_bent_hyperplanes_are_degenerate():
@@ -444,7 +491,7 @@ def test_concurrent_bent_hyperplanes_are_degenerate():
             AffineLayer(np.ones((1, 2)), np.array([0.3])),
         ),
     )
-    with pytest.raises(DegenerateNetwork):
+    with pytest.raises(DegenerateNetwork, match=r"^layer 2, region \(-1,1\): node map"):
         build_complex(net)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucx import SignSequence, product
-from relucx.signs import cube_completions
+from relucx.signs import cube_closure, cube_completions
 
 S = SignSequence.from_entries
 
@@ -28,6 +28,13 @@ def seq_pair(draw_len):
     return st.lists(
         st.sampled_from((-1, 0, 1)), min_size=draw_len, max_size=draw_len
     ).map(S)
+
+
+@st.composite
+def vertex_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    mk = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(S)
+    return draw(st.lists(mk, min_size=1, max_size=5))
 
 
 @st.composite
@@ -166,6 +173,17 @@ def test_commutativity_iff_no_opposition(triple):
     a, b, _ = triple
     opposed = any(x * y == -1 for x, y in zip(a.entries, b.entries))
     assert (product(a, b) == product(b, a)) == (not opposed)
+
+
+@settings(max_examples=200)
+@given(vertex_sets())
+def test_cube_closure_is_closed_under_resolving_zeros(verts):
+    closure = cube_closure(verts)
+    cells = set().union(*closure.graded.values())
+    for cell in cells:
+        for p in cell.zero_positions():
+            assert cell.replace(p, 1) in cells
+            assert cell.replace(p, -1) in cells
 
 
 @given(sign_entries)

@@ -23,7 +23,6 @@ from relucx import (
     product,
     random_init,
     render_db_svg,
-    validate_closure,
 )
 
 S = __import__("relucx").SignSequence.from_entries
@@ -92,15 +91,6 @@ def test_grading_duality(hand_net):
     for seq in cx.cells:
         by_zeros[seq.n_zeros()] = by_zeros.get(seq.n_zeros(), 0) + 1
     assert by_zeros == {2: 3, 1: 9, 0: 7}
-
-
-def test_validate_closure_detects_missing_face(hand_net):
-    cx = assemble(build_complex(hand_net).vertices)
-    removed = S([1, 1, 0])
-    cells = {s: i for s, i in cx.cells.items() if s != removed}
-    grading = tuple(tuple(s for s in g if s != removed) for g in cx.grading)
-    with pytest.raises(ClosureViolation):
-        validate_closure(CubicalComplex(2, cells, grading))
 
 
 def test_assemble_rejects_missed_vertex_by_euler_characteristic():
