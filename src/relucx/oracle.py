@@ -4,13 +4,18 @@ The sampled route never touches the solver: it evaluates the network's node
 maps on a dense grid and records which all-nonzero sign patterns occur.
 Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
+
+The grid is streamed in chunks of CHUNK_POINTS points, and each chunk's sign
+rows are packed into integer words and deduplicated before the next chunk
+is evaluated, so memory depends on the chunk size and the number of node
+maps but not on the resolution; time grows as resolution**n0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +29,13 @@ __all__ = [
     "arrangement_counts",
     "perturb_check",
 ]
+
+# Grid points evaluated at once by sample_region_signs.
+CHUNK_POINTS = 1 << 16
+
+# Sign bits per packed word; a row of N node maps takes ceil(N / 62) words,
+# each a nonnegative int64.
+_WORD_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -49,13 +61,22 @@ class SampleGrid:
     def square(cls, lo: float, hi: float, n0: int, resolution: int) -> "SampleGrid":
         return cls((lo,) * n0, (hi,) * n0, resolution)
 
-    def points(self) -> np.ndarray:
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The grid points in row-major order, CHUNK_POINTS rows at a time.
+
+        The rows are those of `meshgrid(*axes, indexing="ij")` raveled, in
+        the same order; every chunk but the last has CHUNK_POINTS rows.
+        """
         axes = [
             np.linspace(lo, hi, self.resolution)
             for lo, hi in zip(self.lower, self.upper)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        shape = (self.resolution,) * len(axes)
+        total = self.resolution ** len(axes)
+        for start in range(0, total, CHUNK_POINTS):
+            flat = np.arange(start, min(start + CHUNK_POINTS, total))
+            index = np.unravel_index(flat, shape)
+            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
 
 def sample_region_signs(
@@ -63,16 +84,48 @@ def sample_region_signs(
 ) -> set[SignSequence]:
     """Region sign sequences witnessed by grid points.
 
-    Points with any node map within exclusion_tol of zero are dropped, so
-    every returned sequence is a genuine open-region sample.
+    Points with any node map within exclusion_tol of zero are dropped (NaN
+    values too), so every returned sequence is a genuine open-region
+    sample; an infinite value keeps its sign.  The grid is evaluated one
+    chunk at a time, and only the distinct packed sign rows of each chunk
+    are kept, so memory does not depend on the grid's resolution.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
-    vals = node_map_value_matrix(net, grid.points())
-    keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
-    signs = np.where(vals[keep] > 0, 1, -1).astype(np.int8)
-    unique = np.unique(signs, axis=0) if signs.size else signs
-    return {SignSequence.from_entries(row.tolist()) for row in unique}
+    n = net.num_node_maps
+    keys: set[tuple[int, ...]] = set()
+    for points in grid.chunks():
+        vals = node_map_value_matrix(net, points)
+        keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
+        words = _pack_rows(vals[keep] > 0)
+        if words.shape[1] == 1:
+            keys.update((w,) for w in np.unique(words[:, 0]).tolist())
+        elif len(words):
+            keys.update(map(tuple, np.unique(words, axis=0).tolist()))
+    return {_unpack_words(key, n) for key in keys}
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a (P, N) bool array into (P, ceil(N / _WORD_BITS)) int64 words.
+
+    Column 0 is the most significant bit of word 0, so each word reads its
+    columns in order.
+    """
+    words = []
+    for lo in range(0, bits.shape[1], _WORD_BITS):
+        block = bits[:, lo : lo + _WORD_BITS]
+        weights = np.left_shift(1, np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64))
+        words.append(block.astype(np.int64) @ weights)
+    return np.stack(words, axis=1)
+
+
+def _unpack_words(words: tuple[int, ...], n: int) -> SignSequence:
+    """The all-nonzero sign sequence of n node maps packed by _pack_rows."""
+    entries = []
+    for w, word in enumerate(words):
+        width = min(_WORD_BITS, n - w * _WORD_BITS)
+        entries.extend(1 if word >> (width - 1 - j) & 1 else -1 for j in range(width))
+    return SignSequence.from_entries(entries)
 
 
 def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:

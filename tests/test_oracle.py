@@ -1,5 +1,7 @@
 """Grid-sampling soundness, arrangement combinatorics, vertex perturbation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,22 @@ from relucx import (
     random_init,
     sample_region_signs,
 )
+from relucx.model import node_map_value_matrix
+from relucx.oracle import CHUNK_POINTS
 from relucx.signs import SignSequence
 
 S = SignSequence.from_entries
+
+
+def reference_sample_region_signs(net, grid, exclusion_tol=1e-6):
+    """The whole-grid sampler: every point at once, row-wise np.unique of int8 signs."""
+    axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in zip(grid.lower, grid.upper)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = node_map_value_matrix(net, np.stack([m.ravel() for m in mesh], axis=1))
+    keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
+    signs = np.where(vals[keep] > 0, 1, -1).astype(np.int8)
+    unique = np.unique(signs, axis=0) if signs.size else signs
+    return {S(row.tolist()) for row in unique}
 
 
 def test_sample_grid_validation():
@@ -30,12 +45,18 @@ def test_sample_grid_validation():
         SampleGrid((0.0, 0.0), (1.0, float("inf")), 10)
 
 
-def test_sample_grid_points():
+def test_sample_grid_chunks():
     grid = SampleGrid.square(-1.0, 1.0, 2, 3)
-    pts = grid.points()
-    assert pts.shape == (9, 2)
-    assert pts.min() == -1.0 and pts.max() == 1.0
+    pts = np.concatenate(list(grid.chunks()))
+    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 3)] * 2, indexing="ij")
+    assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=1))
     assert [tuple(p) for p in pts[:3]] == [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)]
+
+    grid = SampleGrid((-2.0, 0.5), (3.0, 4.0), 300)
+    chunks = list(grid.chunks())
+    assert len(chunks) == 2 and len(chunks[0]) == CHUNK_POINTS
+    assert sum(len(c) for c in chunks) == 300**2
+    assert tuple(chunks[0][0]) == (-2.0, 0.5) and tuple(chunks[-1][-1]) == (3.0, 4.0)
 
 
 def test_hand_example_sampled_regions(hand_net):
@@ -64,6 +85,41 @@ def test_sampling_is_subset_of_built_regions(arch, seed):
     state = build_complex(net)
     sampled = sample_region_signs(net, SampleGrid.square(-15.0, 15.0, arch[0], 60))
     assert sampled <= state.regions
+
+
+@pytest.mark.parametrize(
+    "arch,seed,box,resolution",
+    [
+        ((2, 5, 1), 1000, 20.0, 300),  # criterion 3 architectures and box
+        ((2, 5, 5, 1), 2000, 20.0, 300),
+        ((3, 4, 4, 1), 7, 15.0, 48),
+        ((2, 40, 30, 1), 0, 15.0, 260),  # 71 node maps: two packed words per row
+        ((2, 8, 8, 1), 0, 7.5e307, 64),  # node values overflow to +-inf and NaN
+    ],
+)
+def test_streamed_sampling_matches_reference(arch, seed, box, resolution):
+    net = random_init(arch, seed)
+    grid = SampleGrid.square(-box, box, arch[0], resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if box > 1e300:
+            vals = node_map_value_matrix(net, np.concatenate(list(grid.chunks())))
+            assert np.isinf(vals).sum() > 1000 and np.isnan(vals).any()
+        sampled = sample_region_signs(net, grid)
+        assert sampled and sampled == reference_sample_region_signs(net, grid)
+
+
+def test_sampling_memory_does_not_grow_with_resolution():
+    net = random_init((3, 4, 4, 1), 0)
+    # 4.1 M points: the points and value matrix of the whole grid alone are
+    # ~390 MB, one chunk's are a few MB
+    grid = SampleGrid.square(-15.0, 15.0, 3, 160)
+    tracemalloc.start()
+    try:
+        sample_region_signs(net, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_arrangement_counts_values():
