@@ -11,14 +11,13 @@ maps at it match the region's signs.  Zeros of the solved equations are
 structural: they are recorded from the system, never thresholded from
 evaluations.
 
-Within a region every candidate system is gathered into one (B, n_0, n_0)
-batch and solved by a single `np.linalg.solve` call.  A vectorised screen
-(finite solution, residual, signs of the remaining earlier maps) drops the
-candidates that cannot be accepted; its margins cover the rounding gap
-between batched and single evaluations, so it only ever keeps a superset of
-the accepted candidates.  The survivors are then visited in candidate order
-and run through the exact per-candidate checks, which alone decide
-acceptance and raise on degeneracy.
+A layer's work is done over arrays.  The maps of all its regions are
+composed by one stacked `matmul`, and the candidate systems of all its
+regions form one index array, in candidate order.  They are solved and
+checked in fixed blocks of BLOCK_CANDIDATES: the exact residual, sign and
+condition checks run as stacked `matmul` and batched `cond`, which give the
+same bits as one call per candidate, and Python only walks the accepted
+vertices into the merge.
 
 Regions are never solved for directly; after every layer one pass over the
 vertices maps each all-nonzero completion of a vertex sign sequence (a region)
@@ -33,7 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ReluNetwork, node_map_value_matrix, region_affine_maps
+from .model import ReluNetwork, node_map_value_matrix, stacked_region_affine_maps
+from .model import region_affine_maps  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 from .signs import SignSequence, cube_completions
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
@@ -71,6 +71,10 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# Candidate systems that extend_layer solves and checks at once; a fixed
+# block bounds the arrays of one step however many candidates a layer has.
+BLOCK_CANDIDATES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,45 +190,52 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
     return LayerBuildState(1, n1, vertices, _region_incidence(vertices))
 
 
-def _candidate_rows(
-    new_rows: dict[int, np.ndarray], olds_by_size: dict[int, set[tuple[int, ...]]], n0: int
-) -> np.ndarray:
-    """Row indices into a region's maps of every candidate system, shape (B, n_0).
+def _layer_candidates(
+    state: LayerBuildState, regions: list[SignSequence], base: int, n_k: int, n0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Region ids (C,) and rows (C, n_0) into the region maps of every candidate.
 
-    Candidates run over l ascending, then the l-subsets of new rows in
-    combinations order, then the (n_0 - l)-subsets of old rows in sorted
-    order; each row lists its new-layer rows first.
+    Candidates run over `regions`, then l ascending, then the l-subsets of
+    the layer's rows, then the (n_0 - l)-subsets of the region's vertex zero
+    sets in sorted order; each row lists its new-layer rows first.
     """
-    blocks = []
-    for ell, news in new_rows.items():
-        subsets = sorted(olds_by_size[n0 - ell])
-        olds = np.array(subsets, dtype=np.intp).reshape(len(subsets), n0 - ell)
-        blocks.append(
-            np.hstack([np.repeat(news, len(olds), axis=0), np.tile(olds, (len(news), 1))])
-        )
-    return np.concatenate(blocks)
+    news, counts, olds = [], [], []
+    for ell in range(1, min(n0, n_k) + 1):
+        news.append(base + np.array(list(combinations(range(n_k), ell)), dtype=np.int32))
+        count, flat = [], []
+        for region in regions:
+            members = state.incidence[region]
+            subsets = sorted({s for v in members for s in combinations(v.zero_set, n0 - ell)})
+            count.append(len(subsets))
+            for subset in subsets:  # flattened, so no subset tuple outlives its region
+                flat.extend(subset)
+        counts.append(count)
+        olds.append(np.array(flat, dtype=np.int32).reshape(sum(count), n0 - ell))
+    counts = np.array(counts).T  # (R, L): old subsets per region and l
+    first_old = np.cumsum(counts, axis=0) - counts
+    sizes = counts * [len(new) for new in news]
+    starts = np.cumsum(sizes).reshape(sizes.shape) - sizes  # region-major, then l
+    rows = np.empty((sizes.sum(), n0), dtype=np.int32)
+    for i, new in enumerate(news):
+        ell, size, count = new.shape[1], sizes[:, i], np.repeat(counts[:, i], sizes[:, i])
+        # candidate p of region r pairs new subset p // count with old subset p % count
+        p = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        dest = p + np.repeat(starts[:, i], size)
+        rows[dest, :ell] = new[p // count]
+        rows[dest, ell:] = olds[i][np.repeat(first_old[:, i], size) + p % count]
+    return np.repeat(np.arange(len(regions), dtype=np.int32), sizes.sum(axis=1)), rows
 
 
-def _solve_and_screen(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    rows: np.ndarray,
-    sign_arr: np.ndarray,
-    tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve every candidate system of a region at once and screen the solutions.
+def _block_vertices(normals, offsets, region_signs, ids, rows, base, tol, context):
+    """Solve and exactly check one block of candidates; yield its vertices.
 
-    Returns the systems `mats` (B, n_0, n_0) and `rhss` (B, n_0), the
-    solutions `xs` (B, n_0), NaN where a system is exactly singular, and a
-    mask `keep` (B,) of the candidates that may pass the exact checks.  The
-    mask is a superset of those: each margin is twice the tolerance plus a
-    bound on the gap between two evaluations of the same (n_0 + 1)-term sum
-    in different orders, so batched rounding never drops a candidate that
-    the per-candidate residual and sign checks would accept or raise on.
+    `normals` (R, m, n_0), `offsets` (R, m) and `region_signs` (R, base) hold
+    the layer's region maps and signs; candidate c solves rows `rows[c]` of
+    region `ids[c]`.  Vertices come in candidate order; the first candidate
+    that fails a check raises DegenerateNetwork, prefixed `context(region)`.
     """
-    base = len(sign_arr)
-    mats = normals[rows]
-    rhss = offsets[rows]
+    mats = normals[ids[:, None], rows]
+    rhss = offsets[ids[:, None], rows]
     try:
         xs = np.linalg.solve(mats, -rhss[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -235,26 +246,48 @@ def _solve_and_screen(
         ok = np.linalg.slogdet(mats)[0] != 0
         if ok.any():
             xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
-    gap = 2 * (normals.shape[1] + 1) * np.finfo(float).eps
+    signs = region_signs[ids]
+    unsolved = np.ones((len(rows), normals.shape[1]), dtype=bool)
+    unsolved[np.arange(len(rows))[:, None], rows] = False
+    remaining = unsolved[:, :base]
+
+    # Stacked matmul and cond give the same bits as one call per candidate.
+    # Structurally parallel systems (new-layer maps that are exact multiples
+    # of old ones in a rank-deficient region) solve to a pseudo-solution at
+    # ~1/eps scale; backward stability keeps |mat @ x + rhs| tiny for every
+    # genuine intersection, so a large residual means "no intersection".
     with np.errstate(invalid="ignore", over="ignore"):
-        abs_xs = np.abs(xs)
-        resid = np.abs(np.einsum("bij,bj->bi", mats, xs) + rhss)
-        resid_gap = gap * (np.einsum("bij,bj->bi", np.abs(mats), abs_xs) + np.abs(rhss))
-        vals = xs @ normals[:base].T + offsets[:base]
-        vals_gap = gap * (abs_xs @ np.abs(normals[:base]).T + np.abs(offsets[:base]))
-        remaining = np.ones((len(rows), len(offsets)), dtype=bool)
-        remaining[np.arange(len(rows))[:, None], rows] = False
-        remaining = remaining[:, :base]
-        # Written as "not provably out" so that a NaN from overflow keeps the
-        # candidate, as it would pass the exact checks' comparisons too.
-        agree = ~remaining | (np.sign(vals) == sign_arr)
-        near = remaining & ~(np.abs(vals) >= 2 * tol.degeneracy_tol + vals_gap)
-        keep = (
-            np.isfinite(xs).all(axis=1)
-            & ~np.any(resid > 2 * tol.residual_tol + resid_gap, axis=1)
-            & (agree.all(axis=1) | near.any(axis=1))
-        )
-    return mats, rhss, xs, keep
+        residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
+        vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
+    solved = np.isfinite(xs).all(axis=1) & ~(residual > tol.residual_tol)
+    near = solved & np.any(remaining & (np.abs(vals_old) < tol.degeneracy_tol), axis=1)
+    inside = solved & np.all(~remaining | (np.sign(vals_old) == signs), axis=1)
+    walk = np.flatnonzero(near | inside)
+    conds = np.linalg.cond(mats[walk])
+    wids = ids[walk]
+    vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
+    free = unsolved[walk, base:]
+    tail_near = np.any(free & (np.abs(vals_new) < tol.degeneracy_tol), axis=1)
+    tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
+    entries = np.hstack([np.where(remaining[walk], signs[walk], 0), tails]).tolist()
+    for i, c in enumerate(walk.tolist()):
+        if near[c]:
+            raise DegenerateNetwork(
+                f"{context(ids[c])}: remaining node map within "
+                f"degeneracy tolerance of 0 at a candidate vertex"
+            )
+        # accepted: xs[c] is a vertex in the closure of its region
+        cond = float(conds[i])
+        if not np.isfinite(cond) or cond > tol.cond_max:
+            raise DegenerateNetwork(
+                f"{context(ids[c])}: accepted system has condition estimate {cond:.3e}"
+            )
+        if tail_near[i]:
+            _strict_signs(vals_new[i][free[i]], tol, lambda _: context(ids[c]))
+        # every old row is below every new row, and both parts come sorted
+        zero_set = tuple(sorted(rows[c].tolist()))
+        seq = SignSequence.from_entries(entries[i])
+        yield Vertex(xs[c].copy(), seq, zero_set, float(residual[c]), cond)
 
 
 def extend_layer(
@@ -267,12 +300,12 @@ def extend_layer(
     """Extend the complex over the node maps of layer k (k = depth+1 is the output map).
 
     Existing vertices keep their coordinates and gain strict signs for the new
-    maps.  New vertices are solved region by region; the merge of results is
-    order-independent, so any schedule over the regions yields the same state.
+    maps.  New vertices are solved for all regions at once, BLOCK_CANDIDATES
+    candidate systems at a time; the merge of results is order-independent,
+    so any order of the regions yields the same state.
     """
     if k != state.layer + 1:
         raise ValueError(f"state covers layers 1..{state.layer}, cannot extend to layer {k}")
-    n0 = net.n0
     base = net.layer_offset(k)
     if base != state.covered:
         raise ValueError("state prefix length does not match the network architecture")
@@ -300,70 +333,19 @@ def extend_layer(
         regions = list(region_order)
         if set(regions) != set(state.regions):
             raise ValueError("region_order must enumerate exactly the state's regions")
+    ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
+    region_signs = np.empty((len(regions), base), dtype=np.int8)
+    for r, region in enumerate(regions):  # row by row: one entries tuple alive at a time
+        region_signs[r] = region.entries
+    normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
     discovered: dict[SignSequence, Vertex] = {}
-    ells = range(1, min(n0, n_k) + 1)
-    new_rows = {
-        ell: base + np.array(list(combinations(range(n_k), ell)), dtype=np.intp)
-        for ell in ells
-    }
-    for region in regions:
-        members = state.incidence[region]
-        normals, offsets = region_affine_maps(net, region, k)
-        old_normals, new_normals = normals[:base], normals[base:]
-        old_offsets, new_offsets = offsets[:base], offsets[base:]
-        region_entries = region.entries
-        sign_arr = np.array(region_entries, dtype=float)
-
-        olds_by_size: dict[int, set[tuple[int, ...]]] = {n0 - ell: set() for ell in ells}
-        for vert in members:
-            for s in olds_by_size:
-                olds_by_size[s].update(combinations(vert.zero_set, s))
-        rows = _candidate_rows(new_rows, olds_by_size, n0)
-        mats, rhss, xs, keep = _solve_and_screen(normals, offsets, rows, sign_arr, tol)
-
-        # The screen only discards; these exact checks decide, in candidate order.
-        for c in np.flatnonzero(keep):
-            mat, rhs, x = mats[c], rhss[c], xs[c].copy()
-            row = rows[c].tolist()
-            old_subset = [r for r in row if r < base]
-            new_subset = [r - base for r in row if r >= base]
-            # Structurally parallel systems (rank-deficient regions make
-            # new-layer functionals exact multiples of old ones) float through
-            # solve with det ~ eps and a pseudo-solution at ~1/eps scale.
-            # Backward stability keeps |mat @ x + rhs| tiny for every genuine
-            # finite intersection, so a large absolute residual identifies
-            # "no intersection", not a tolerance failure.
-            residual = float(np.max(np.abs(mat @ x + rhs)))
-            if residual > tol.residual_tol:
-                continue
-            vals_old = old_normals @ x + old_offsets
-            remaining = np.ones(base, dtype=bool)
-            remaining[old_subset] = False
-            near = np.abs(vals_old[remaining]) < tol.degeneracy_tol
-            if near.any():
-                raise DegenerateNetwork(
-                    f"layer {k}, region {region}: remaining node map within "
-                    f"degeneracy tolerance of 0 at a candidate vertex"
-                )
-            if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
-                continue
-            # accepted: x is a vertex in the closure of this region
-            cond = float(np.linalg.cond(mat))
-            if not np.isfinite(cond) or cond > tol.cond_max:
-                raise DegenerateNetwork(
-                    f"layer {k}, region {region}: accepted system has "
-                    f"condition estimate {cond:.3e}"
-                )
-            vals_new = new_normals @ x + new_offsets
-            free = [j for j in range(n_k) if j not in new_subset]
-            tail = np.zeros(n_k, dtype=int)
-            tail[free] = _strict_signs(
-                vals_new[free], tol, lambda _: f"layer {k}, region {region}"
-            )
-            entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
-            signs = SignSequence.from_entries(entries + tail.tolist())
-            zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
-            _merge_vertex(discovered, Vertex(x, signs, zero_set, residual, cond), tol)
+    for start in range(0, len(ids), BLOCK_CANDIDATES):
+        block = slice(start, start + BLOCK_CANDIDATES)
+        for vert in _block_vertices(
+            normals, offsets, region_signs, ids[block], rows[block], base, tol,
+            lambda r: f"layer {k}, region {regions[r]}",
+        ):
+            _merge_vertex(discovered, vert, tol)
 
     vertices = dict(carried)
     for signs, vert in discovered.items():

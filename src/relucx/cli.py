@@ -1,9 +1,9 @@
 """Command-line entry points: build, experiment, oracle-check.
 
 Exit codes: 0 success, 1 unreadable or malformed model file, bad
-`experiment` input or an `--out` that cannot be written, 2 degenerate
-network, 3 unsupported architecture, 4 sampling oracle found a region the
-builder missed.  Invalid flag values rejected by the argument parser exit 2.
+`experiment` input, an unwritable `--out` or an `oracle-check` grid too
+large to index, 2 degenerate network, 3 unsupported architecture, 4 oracle
+violation.  Invalid flag values rejected by the argument parser exit 2.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ def cmd_oracle_check(args, built_regions=None) -> int:
     tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
     try:
         net = read_model(args.model)
-    except (OSError, ModelFormatError) as exc:
+        grid = SampleGrid.square(args.box[0], args.box[1], net.n0, args.resolution)
+    except (OSError, ValueError) as exc:  # ModelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
     try:
@@ -321,7 +322,6 @@ def cmd_oracle_check(args, built_regions=None) -> int:
         return EXIT_UNSUPPORTED
     if built_regions is None:
         built_regions = state.regions
-    grid = SampleGrid.square(args.box[0], args.box[1], net.n0, args.resolution)
     sampled = sample_region_signs(net, grid)
     violations = sorted(sampled - set(built_regions))
     missing = sorted(set(built_regions) - sampled)

@@ -24,6 +24,7 @@ __all__ = [
     "node_map_values",
     "node_map_value_matrix",
     "region_affine_maps",
+    "stacked_region_affine_maps",
     "random_init",
     "read_model",
     "write_model",
@@ -138,22 +139,34 @@ def region_affine_maps(
         )
     if region_signs.n_zeros():
         raise ValueError("region signs must have no zero entries")
-
     active = np.array(region_signs.entries) > 0
+    normals, offsets = stacked_region_affine_maps(net, active[None], upto_layer)
+    return normals[0], offsets[0]
+
+
+def stacked_region_affine_maps(
+    net: ReluNetwork, active: np.ndarray, upto_layer: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`region_affine_maps` of R regions at once, unchecked: shapes (R, m, n_0), (R, m).
+
+    Row r of the boolean `active` is region r's signs, true for +1.  Each
+    layer is one stacked `matmul`, bit-equal to composing each region alone.
+    """
     mat = net.layers[0].weights.astype(float)
     off = net.layers[0].bias.astype(float)
-    normals, offsets = [mat], [off]
+    normals = [np.broadcast_to(mat, (len(active), *mat.shape))]
+    offsets = [np.broadcast_to(off, (len(active), *off.shape))]
     pos = 0
     for layer_no in range(1, upto_layer):
         width = net.architecture[layer_no]
-        mask = active[pos : pos + width].astype(float)
+        mask = active[:, pos : pos + width].astype(float)
         pos += width
         nxt = net.layers[layer_no]
-        mat = nxt.weights @ (mask[:, None] * mat)
-        off = nxt.weights @ (mask * off) + nxt.bias
+        mat = nxt.weights @ (mask[:, :, None] * mat)
+        off = (nxt.weights @ (mask * off)[:, :, None])[..., 0] + nxt.bias
         normals.append(mat)
         offsets.append(off)
-    return np.concatenate(normals), np.concatenate(offsets)
+    return np.concatenate(normals, axis=1), np.concatenate(offsets, axis=1)
 
 
 def random_init(architecture: Sequence[int], seed: int) -> ReluNetwork:

@@ -56,6 +56,10 @@ class SampleGrid:
                 raise ValueError("box must have positive extent on every axis")
             if not isfinite(hi - lo):
                 raise ValueError("box must have finite bounds and extent on every axis")
+        if self.resolution ** len(self.lower) > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"grid of {self.resolution}^{len(self.lower)} points exceeds the largest index"
+            )
 
     @classmethod
     def square(cls, lo: float, hi: float, n0: int, resolution: int) -> "SampleGrid":

@@ -1,6 +1,7 @@
 """Vertex enumeration: frozen hand values, brute-force oracles, invariants."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -412,11 +413,11 @@ def test_batched_search_with_singular_members(monkeypatch):
     assert singular_batches
 
 
-def test_screen_keeps_candidates_that_raise():
+def outside_candidate_net():
     # In the region x > 0, y > 0 both layer-2 maps extend to lines through
     # (-1, 0).  That candidate lies outside the region, but the extension of
     # y vanishes there, and the exact checks raise before comparing signs.
-    net = ReluNetwork(
+    return ReluNetwork(
         (2, 2, 2, 1),
         (
             AffineLayer(np.eye(2), np.zeros(2)),
@@ -424,6 +425,10 @@ def test_screen_keeps_candidates_that_raise():
             AffineLayer(np.ones((1, 2)), np.array([-0.5])),
         ),
     )
+
+
+def test_screen_keeps_candidates_that_raise():
+    net = outside_candidate_net()
     state = first_layer_vertices(net)
     for search in (extend_layer, reference_new_vertices):
         with pytest.raises(DegenerateNetwork, match="remaining node map"):
@@ -481,9 +486,9 @@ def test_concurrent_first_layer_lines_are_degenerate():
         first_layer_vertices(net)
 
 
-def test_concurrent_bent_hyperplanes_are_degenerate():
+def concurrent_bent_net():
     # both layer-2 units cross x=0 at (0,1): three curves through one point
-    net = ReluNetwork(
+    return ReluNetwork(
         (2, 2, 2, 1),
         (
             AffineLayer(np.eye(2), np.zeros(2)),
@@ -491,6 +496,10 @@ def test_concurrent_bent_hyperplanes_are_degenerate():
             AffineLayer(np.ones((1, 2)), np.array([0.3])),
         ),
     )
+
+
+def test_concurrent_bent_hyperplanes_are_degenerate():
+    net = concurrent_bent_net()
     with pytest.raises(DegenerateNetwork, match=r"^layer 2, region \(-1,1\): node map"):
         build_complex(net)
 
@@ -529,3 +538,101 @@ def test_merge_vertex_duplicate_handling():
     _merge_vertex(t2, c, tol)
     _merge_vertex(t2, a, tol)
     assert t1[signs] is c and t2[signs] is c
+
+
+# ---------------------------------------------------------------------------
+# fixed candidate blocks: the split into blocks changes nothing
+
+DEFAULT_BLOCK = relucx.builder.BLOCK_CANDIDATES
+BLOCK_SIZES = (1, 3, DEFAULT_BLOCK)
+
+
+def state_fingerprint(state):
+    """Everything a layer state holds, in dict and list order, down to the bits."""
+    vertices = [
+        (s.key, v.signs.key, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
+        for s, v in state.vertices.items()
+    ]
+    incidence = [(r.key, [v.signs.key for v in vs]) for r, vs in state.incidence.items()]
+    return vertices, incidence
+
+
+def layer_fingerprints(net, tol=Tolerances()):
+    state = first_layer_vertices(net, tol)
+    prints = [state_fingerprint(state)]
+    for k in range(2, net.depth + 2):
+        state = extend_layer(net, k, state, tol)
+        prints.append(state_fingerprint(state))
+    return prints
+
+
+def degenerate_outcome(build):
+    with pytest.raises(DegenerateNetwork) as exc:
+        build()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1), (4, 6, 1)])
+def test_block_size_independence(monkeypatch, arch):
+    net = random_init(arch, 0)
+    outcomes = []
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(relucx.builder, "BLOCK_CANDIDATES", block)
+        outcomes.append(layer_fingerprints(net))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize(
+    "make_net,message",
+    [
+        (outside_candidate_net, r"^layer 2, region \(1,1\): remaining node map within degeneracy"),
+        (concurrent_bent_net, r"^layer 2, region \(-1,1\): node map value"),
+    ],
+)
+def test_raise_is_block_size_independent(monkeypatch, make_net, message):
+    net = make_net()
+    outcomes = []
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(relucx.builder, "BLOCK_CANDIDATES", block)
+        outcomes.append(degenerate_outcome(lambda: build_complex(net)))
+    assert outcomes[0][0] is DegenerateNetwork
+    assert re.match(message, outcomes[0][1])
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_ill_conditioned_accepted_system_raises(monkeypatch):
+    # cond_max between the largest first-layer condition and the largest of
+    # layer 2: the first layer passes and extend_layer refuses a layer-2 vertex
+    net = random_init((2, 6, 6, 1), 0)
+    state = first_layer_vertices(net)
+    first = max(v.solve_condition for v in state.vertices.values())
+    second = max(v.solve_condition for v in extend_layer(net, 2, state).vertices.values())
+    assert first < second
+    tol = Tolerances(cond_max=(first * second) ** 0.5)
+    state = first_layer_vertices(net, tol)
+    outcomes = []
+    for block in BLOCK_SIZES:
+        monkeypatch.setattr(relucx.builder, "BLOCK_CANDIDATES", block)
+        outcomes.append(degenerate_outcome(lambda: extend_layer(net, 2, state, tol)))
+    message = r"^layer 2, region \([-1,]+\): accepted system has condition estimate "
+    assert re.match(message, outcomes[0][1])
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    with pytest.raises(DegenerateNetwork, match="accepted system ill-conditioned"):
+        reference_new_vertices(net, 2, state, tol)
+
+
+@pytest.mark.parametrize("block", [3, DEFAULT_BLOCK])
+def test_no_solve_exceeds_one_block(monkeypatch, block):
+    solve = np.linalg.solve
+    batches = []
+
+    def spy(a, b):
+        batches.append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(relucx.builder, "BLOCK_CANDIDATES", block)
+    for arch in ((2, 8, 8, 1), (3, 6, 6, 1)):
+        build_complex(random_init(arch, 0))
+    assert max(batches) == block

@@ -23,6 +23,7 @@ from relucx.cli import (
     run_experiment,
 )
 from relucx.model import network_to_dict
+import relucx.cli
 
 
 @pytest.fixture
@@ -350,6 +351,22 @@ def test_oracle_check_degenerate_model(tmp_path, capsys):
     path = tmp_path / "degen.json"
     path.write_text(json.dumps(data))
     assert main(["oracle-check", "--model", str(path)]) == EXIT_DEGENERATE
+
+
+def test_oracle_check_grid_too_large(tmp_path, capsys, monkeypatch):
+    # 400^8 points exceed the largest array index; refused before any build
+    path = tmp_path / "wide.json"
+    write_model(random_init((8, 8, 1), 0), str(path))
+
+    def refuse(net, tol):
+        raise AssertionError("oracle-check built the complex of an unsampleable grid")
+
+    monkeypatch.setattr(relucx.cli, "build_complex", refuse)
+    assert main(["oracle-check", "--model", str(path)]) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid of 400^8 points exceeds")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

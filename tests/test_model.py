@@ -5,6 +5,8 @@ import pytest
 
 from relucx import (
     AffineLayer,
+    extend_layer,
+    first_layer_vertices,
     ModelFormatError,
     ReluNetwork,
     node_map_value_matrix,
@@ -14,7 +16,7 @@ from relucx import (
     region_affine_maps,
     write_model,
 )
-from relucx.model import network_from_dict, network_to_dict
+from relucx.model import network_from_dict, network_to_dict, stacked_region_affine_maps
 from relucx.signs import SignSequence
 
 
@@ -125,6 +127,49 @@ def test_region_functionals_match_values_inside_region():
         if checked >= 100:
             break
     assert checked >= 100
+
+
+def reference_region_affine_maps(net, region_signs, upto_layer):
+    """The maps of one region, composed layer by layer on their own."""
+    active = np.array(region_signs.entries) > 0
+    mat = net.layers[0].weights.astype(float)
+    off = net.layers[0].bias.astype(float)
+    normals, offsets = [mat], [off]
+    pos = 0
+    for layer_no in range(1, upto_layer):
+        width = net.architecture[layer_no]
+        mask = active[pos : pos + width].astype(float)
+        pos += width
+        nxt = net.layers[layer_no]
+        mat = nxt.weights @ (mask[:, None] * mat)
+        off = nxt.weights @ (mask * off) + nxt.bias
+        normals.append(mat)
+        offsets.append(off)
+    return np.concatenate(normals), np.concatenate(offsets)
+
+
+@pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1), (4, 6, 1)])
+def test_stacked_maps_match_per_region_reference(arch):
+    # every region of every layer, the output map's layer k = depth + 1 included
+    net = random_init(arch, 0)
+    empty = SignSequence.from_entries([])
+    normals, offsets = stacked_region_affine_maps(net, np.zeros((1, 0), dtype=bool), 1)
+    ref = reference_region_affine_maps(net, empty, 1)
+    assert np.array_equal(normals[0], ref[0]) and np.array_equal(offsets[0], ref[1])
+    state = first_layer_vertices(net)
+    for k in range(2, net.depth + 2):
+        regions = sorted(state.regions)
+        active = np.array([r.entries for r in regions]) > 0
+        normals, offsets = stacked_region_affine_maps(net, active, k)
+        assert normals.shape == (len(regions), net.layer_offset(k + 1), net.n0)
+        for r, region in enumerate(regions):
+            ref_normals, ref_offsets = reference_region_affine_maps(net, region, k)
+            assert np.array_equal(normals[r], ref_normals)
+            assert np.array_equal(offsets[r], ref_offsets)
+            one_normals, one_offsets = region_affine_maps(net, region, k)
+            assert np.array_equal(one_normals, ref_normals)
+            assert np.array_equal(one_offsets, ref_offsets)
+        state = extend_layer(net, k, state)
 
 
 def test_region_functionals_validate_prefix(hand_net):

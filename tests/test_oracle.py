@@ -45,6 +45,14 @@ def test_sample_grid_validation():
         SampleGrid((0.0, 0.0), (1.0, float("inf")), 10)
 
 
+def test_sample_grid_rejects_more_points_than_an_index_reaches():
+    largest = int(np.iinfo(np.intp).max)
+    SampleGrid.square(0.0, 1.0, 1, largest)  # the largest index itself: accepted, nothing made
+    for n0, resolution in ((1, largest + 1), (2, 2**32), (8, 400)):
+        with pytest.raises(ValueError, match=rf"^grid of {resolution}\^{n0} points exceeds"):
+            SampleGrid.square(0.0, 1.0, n0, resolution)
+
+
 def test_sample_grid_chunks():
     grid = SampleGrid.square(-1.0, 1.0, 2, 3)
     pts = np.concatenate(list(grid.chunks()))
