@@ -17,16 +17,20 @@ regions form one index array, in candidate order.  They are solved and
 checked in fixed blocks of BLOCK_CANDIDATES: the exact residual, sign and
 condition checks run as stacked `matmul` and batched `cond`, which give the
 same bits as one call per candidate, and Python only walks the accepted
-vertices into the merge.
+vertices into the merge.  The first layer's subsets go through the same
+blocks: one batched `cond`, one `solve` and one `matmul` per block, then a
+walk in subset order that raises at the first failing subset.
 
 Regions are never solved for directly; after every layer one pass over the
 vertices maps each all-nonzero completion of a vertex sign sequence (a region)
-to the vertices in its closure.  Only `topology.assemble` builds the full cube
-closure, once per network.
+to the vertices in its closure.  The pass runs on packed integer keys and
+makes one `SignSequence` per region.  Only `topology.assemble` builds the full
+cube closure, once per network.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix, stacked_region_affine_maps
 from .model import region_affine_maps  # noqa: F401  (unused here; perfbench/tracing.py patches it)
-from .signs import SignSequence, cube_completions
+from .signs import SignSequence, completion_keys
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
 __all__ = [
@@ -72,8 +76,9 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# Candidate systems that extend_layer solves and checks at once; a fixed
-# block bounds the arrays of one step however many candidates a layer has.
+# Candidate systems that first_layer_vertices and extend_layer solve and
+# check at once; a fixed block bounds the arrays of one step however many
+# candidates a layer has.
 BLOCK_CANDIDATES = 128
 
 
@@ -102,12 +107,18 @@ class LayerBuildState:
 
 
 def _region_incidence(vertices: dict[SignSequence, Vertex]) -> dict[SignSequence, list[Vertex]]:
-    """Map each all-nonzero completion (region) to the vertices incident to it."""
-    incidence: dict[SignSequence, list[Vertex]] = {}
-    for key, vert in vertices.items():
-        for region in cube_completions(key, values=(-1, 1)):
-            incidence.setdefault(region, []).append(vert)
-    return incidence
+    """Map each all-nonzero completion (region) to the vertices incident to it.
+
+    Regions are collected as packed keys and each is wrapped once; all the
+    vertices of a layer state have the same length.
+    """
+    incidence: defaultdict[int, list[Vertex]] = defaultdict(list)
+    patterns: dict[int, list[int]] = {}
+    for signs, vert in vertices.items():
+        for region in completion_keys(signs, (-1, 1), patterns):
+            incidence[region].append(vert)
+    n = next(iter(vertices)).n if vertices else 0
+    return {SignSequence(n, region): members for region, members in incidence.items()}
 
 
 def _strict_sign(value: float, tol: Tolerances, context: str) -> int:
@@ -165,29 +176,51 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
         raise ArchitectureUnsupported(
             f"first hidden layer has {n1} units, needs at least n_0 = {n0}"
         )
-    weights = net.layers[0].weights
-    bias = net.layers[0].bias
+    layer = net.layers[0]
+    alphas = list(combinations(range(n1), n0))
     vertices: dict[SignSequence, Vertex] = {}
-    for alpha in combinations(range(n1), n0):
-        sub = weights[list(alpha)]
-        cond = float(np.linalg.cond(sub))
-        if not np.isfinite(cond) or cond > tol.cond_max:
+    for start in range(0, len(alphas), BLOCK_CANDIDATES):
+        for vert in _first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES], tol):
+            vertices[vert.signs] = vert
+    return LayerBuildState(1, n1, vertices, _region_incidence(vertices))
+
+
+def _first_layer_block(layer, alphas, tol):
+    """Solve and check one block of first-layer subsets; yield their vertices.
+
+    Batched `cond`, `solve` and stacked `matmul` give the same bits as one
+    call per subset.  Subsets are walked in order, and the first failing one
+    raises DegenerateNetwork with the check it fails first: condition, then
+    residual, then a free map near zero.
+    """
+    weights, bias = layer.weights, layer.bias
+    subsets = np.array(alphas)
+    conds = np.linalg.cond(weights[subsets])
+    well = np.isfinite(conds) & ~(conds > tol.cond_max)
+    xs = np.full(subsets.shape, np.nan)
+    if well.any():
+        xs[well] = np.linalg.solve(weights[subsets[well]], -bias[subsets[well], None])[..., 0]
+    vals = (weights @ xs[..., None])[..., 0] + bias
+    residuals = np.max(np.abs(np.take_along_axis(vals, subsets, axis=1)), axis=1)
+    free = np.ones(vals.shape, dtype=bool)
+    np.put_along_axis(free, subsets, False, axis=1)
+    near = np.any(free & (np.abs(vals) < tol.degeneracy_tol), axis=1)
+    entries = np.where(free, np.where(vals > 0, 1, -1), 0).tolist()
+    for i, alpha in enumerate(alphas):
+        cond = float(conds[i])
+        if not well[i]:
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} has condition estimate {cond:.3e}"
             )
-        x = np.linalg.solve(sub, -bias[list(alpha)])
-        vals = weights @ x + bias
-        residual = float(np.max(np.abs(vals[list(alpha)])))
+        residual = float(residuals[i])
         if residual > tol.residual_tol:
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
             )
-        free = [j for j in range(n1) if j not in alpha]
-        entries = np.zeros(n1, dtype=int)
-        entries[free] = _strict_signs(vals[free], tol, lambda _: f"first layer at {alpha}")
-        signs = SignSequence.from_entries(entries.tolist())
-        vertices[signs] = Vertex(x, signs, alpha, residual, cond)
-    return LayerBuildState(1, n1, vertices, _region_incidence(vertices))
+        if near[i]:
+            _strict_signs(vals[i][free[i]], tol, lambda _: f"first layer at {alpha}")
+        signs = SignSequence.from_entries(entries[i])
+        yield Vertex(xs[i].copy(), signs, alpha, residual, cond)
 
 
 def _layer_candidates(

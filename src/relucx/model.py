@@ -191,6 +191,13 @@ def network_to_dict(net: ReluNetwork) -> dict:
     }
 
 
+def _check_numbers(values, name: str) -> None:
+    """Every value must be a JSON number: an int or a float, not a bool."""
+    for x in values:
+        if type(x) not in (int, float):
+            raise ModelFormatError(f"{name} must hold only numbers, got {x!r:.40}")
+
+
 def network_from_dict(data: dict) -> ReluNetwork:
     if not isinstance(data, dict):
         raise ModelFormatError(f"model must be a JSON object, got {type(data).__name__}")
@@ -222,8 +229,13 @@ def network_from_dict(data: dict) -> ReluNetwork:
         bias = entry["bias"]
         if not isinstance(bias, list) or len(bias) != arch[t + 1]:
             raise ModelFormatError(f"layers[{t}].bias must have length {arch[t + 1]}")
-        w = np.array(rows, dtype=float)
-        b = np.array(bias, dtype=float)
+        _check_numbers((x for row in rows for x in row), f"layers[{t}].weights")
+        _check_numbers(bias, f"layers[{t}].bias")
+        try:
+            w = np.array(rows, dtype=float)
+            b = np.array(bias, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            w = b = np.array([np.inf])
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ModelFormatError(f"layers[{t}] contains a non-finite value")
         layers.append(AffineLayer(w, b))

@@ -1,9 +1,9 @@
 """Cell complex assembly, mod-2 boundary maps, and decision-boundary topology.
 
 Cells are reconstructed from vertex sign sequences by cube closure, graded by
-dimension (n_0 minus the zero count), and boundary matrices over GF(2) are
-read off combinatorially: a facet of a cell is the same sequence with one
-nonzero entry set to 0, provided that sequence is itself a cell.  The closure
+dimension (n_0 minus the zero count) and ordered by packed key.  Boundary
+matrices over GF(2) are read off the keys: a facet of a cell is its key with
+one nonzero field set to 0, provided that key is itself a cell.  The closure
 holds every completion of every vertex, so resolving any zero of a cell to
 +1 or -1 lands on a cell by construction; what can fail is a missed vertex,
 which the Euler characteristic check in `assemble` catches.
@@ -19,12 +19,13 @@ infinity term since a k-cell with k >= 2 has trivial mod-2 incidence with a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import ReluNetwork, node_map_values, region_affine_maps
-from .signs import SignSequence, cube_closure
+from .signs import SignSequence, cube_closure, facet_keys
 
 __all__ = [
     "CubicalComplex",
@@ -95,21 +96,11 @@ def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
     n0 = verts[0].n_zeros()
     for v in verts:
         if v.n_zeros() != n0:
-            raise ValueError(
-                f"vertex {v} has {v.n_zeros()} zeros, expected {n0} on every vertex"
-            )
+            raise ValueError(f"vertex {v} has {v.n_zeros()} zeros, expected {n0} on every vertex")
     closure = cube_closure(verts)
-    grading = []
-    for dim in range(n0 + 1):
-        grade = closure.graded.get(n0 - dim, set())
-        grading.append(tuple(sorted(grade)))
-    cells: dict[SignSequence, int] = {}
-    idx = 0
-    for grade in grading:
-        for seq in grade:
-            cells[seq] = idx
-            idx += 1
-    cx = CubicalComplex(n0, cells, tuple(grading))
+    by_key = attrgetter("key")  # equal lengths, so the keys sort as the sequences do
+    grading = tuple(tuple(sorted(closure.graded.get(n0 - d, ()), key=by_key)) for d in range(n0 + 1))
+    cx = CubicalComplex(n0, _index(grading), grading)
     # The open cells partition R^n0, whose compactly supported Euler
     # characteristic is (-1)^n0; a missed vertex can break this although the
     # cube closure is closed under resolving zeros whatever the vertices.
@@ -121,15 +112,15 @@ def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
     return cx
 
 
-def _facet_column(seq: SignSequence, rows: Mapping[SignSequence, int]) -> tuple[int, int]:
+def _index(grading) -> dict[SignSequence, int]:
+    """Cell -> index, counting through the grades in order."""
+    return {seq: i for i, seq in enumerate(seq for grade in grading for seq in grade)}
+
+
+def _facet_column(seq: SignSequence, rows: Mapping[int, int]) -> tuple[int, int]:
     """Bitmask of present facets (one nonzero entry zeroed) and their count."""
-    col = 0
-    count = 0
-    zero_set = set(seq.zero_positions())
-    for p in range(seq.n):
-        if p in zero_set:
-            continue
-        facet = seq.replace(p, 0)
+    col = count = 0
+    for facet in facet_keys(seq):
         row = rows.get(facet)
         if row is not None:
             col ^= 1 << row
@@ -139,30 +130,18 @@ def _facet_column(seq: SignSequence, rows: Mapping[SignSequence, int]) -> tuple[
 
 def boundary_matrices(cx: CubicalComplex) -> ChainComplexGF2:
     """Mod-2 boundary maps of the complex as given (no compactification)."""
-    dims = cx.dim_counts()
     boundaries = []
     for k in range(1, len(cx.grading)):
-        rows = {seq: i for i, seq in enumerate(cx.grading[k - 1])}
-        cols = []
-        for seq in cx.grading[k]:
-            col, _ = _facet_column(seq, rows)
-            cols.append(col)
-        boundaries.append(tuple(cols))
-    return ChainComplexGF2(dims, tuple(boundaries), has_infinity=False)
+        rows = {seq.key: i for i, seq in enumerate(cx.grading[k - 1])}
+        boundaries.append(tuple(_facet_column(seq, rows)[0] for seq in cx.grading[k]))
+    return ChainComplexGF2(cx.dim_counts(), tuple(boundaries), has_infinity=False)
 
 
 def decision_boundary(cx: CubicalComplex) -> CubicalComplex:
     """Subcomplex of cells whose output-map entry (the last one) is zero."""
-    grading = []
-    for grade in cx.grading:
-        grading.append(tuple(seq for seq in grade if seq.entry(seq.n - 1) == 0))
-    cells: dict[SignSequence, int] = {}
-    idx = 0
-    for grade in grading:
-        for seq in grade:
-            cells[seq] = idx
-            idx += 1
-    return CubicalComplex(cx.n0, cells, tuple(grading))
+    # the last entry is the lowest two-bit field, and 0 is coded 0b01
+    grading = tuple(tuple(seq for seq in grade if seq.key & 3 == 1) for grade in cx.grading)
+    return CubicalComplex(cx.n0, _index(grading), grading)
 
 
 def compactify(db: CubicalComplex) -> ChainComplexGF2:
@@ -174,20 +153,18 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
     n0 = db.n0
     if any(db.grading[n0]):
         raise ValueError("decision boundary cannot contain top-dimensional cells")
-    vert_rows = {seq: i for i, seq in enumerate(db.grading[0])}
-    inf_row = len(vert_rows)
-    dims = [len(vert_rows) + 1]
+    inf_row = len(db.grading[0])
+    dims = [inf_row + 1]
     boundaries = []
     for k in range(1, n0):
         dims.append(len(db.grading[k]))
-        rows = vert_rows if k == 1 else {s: i for i, s in enumerate(db.grading[k - 1])}
+        rows = {seq.key: i for i, seq in enumerate(db.grading[k - 1])}
         cols = []
         for seq in db.grading[k]:
             col, count = _facet_column(seq, rows)
-            if k == 1:
+            if k == 1:  # each missing endpoint is the point at infinity
                 assert count <= 2, f"edge {seq} has {count} vertex facets"
-                if (2 - count) % 2 == 1:
-                    col ^= 1 << inf_row
+                col ^= (2 - count) % 2 << inf_row
             cols.append(col)
         boundaries.append(tuple(cols))
     return ChainComplexGF2(tuple(dims), tuple(boundaries), has_infinity=True)
@@ -230,15 +207,10 @@ def betti_gf2(chain: ChainComplexGF2) -> BettiReport:
     for the extra component when the boundary is empty.
     """
     _check_dd_zero(chain)
-    ranks = [gf2_rank(cols) for cols in chain.boundaries]
-    betti = []
-    top = len(chain.dims) - 1
-    for k in range(top + 1):
-        rk = ranks[k - 1] if k >= 1 else 0
-        rk1 = ranks[k] if k < len(ranks) else 0
-        betti.append(chain.dims[k] - rk - rk1)
+    ranks = [0, *(gf2_rank(cols) for cols in chain.boundaries), 0]  # rank of d_k at k
+    betti = [dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(chain.dims)]
     b0 = betti[0]
-    return BettiReport(tuple(betti), bounded=b0 - 1, unbounded=betti[top] - b0 + 1)
+    return BettiReport(tuple(betti), bounded=b0 - 1, unbounded=betti[-1] - b0 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +268,8 @@ def render_db_svg(
         if norm == 0.0:
             continue
         direction = np.array([-normal[1], normal[0]]) / norm
-        ends = []
-        for p in range(seq.n - 1):
-            facet = seq.replace(p, 0)
-            if facet in vertex_coords:
-                ends.append(np.asarray(vertex_coords[facet], dtype=float))
+        facets = (SignSequence(seq.n, key) for key in facet_keys(seq))
+        ends = [np.asarray(vertex_coords[f], dtype=float) for f in facets if f in vertex_coords]
         reach = 4.0 * span + 4.0 * max((float(np.max(np.abs(e))) for e in ends), default=0.0)
         if len(ends) == 2:
             a, b = ends
@@ -308,9 +277,7 @@ def render_db_svg(
             v = ends[0]
             eps = 1e-4 * span
             probe = node_map_values(net, v + eps * direction)
-            hidden_ok = all(
-                (probe[i] > 0) == (seq.entry(i) > 0) for i in range(seq.n - 1)
-            )
+            hidden_ok = all((probe[i] > 0) == (seq.entry(i) > 0) for i in range(seq.n - 1))
             d = direction if hidden_ok else -direction
             a, b = v, v + reach * d
         else:

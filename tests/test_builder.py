@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relucx import (
     AffineLayer,
@@ -27,6 +29,7 @@ import relucx.topology
 from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
 from relucx.cli import _analyze
 from relucx.signs import SignSequence
+from test_signs import reference_cube_completions, sparse_zero_sequences
 
 S = SignSequence.from_entries
 
@@ -228,6 +231,40 @@ def test_closure_purity_and_region_incidence(arch, seed):
             assert any(product(v, cell) == cell for v in verts)
 
 
+def reference_region_incidence(vertices):
+    """The incidence over `reference_cube_completions`, one object per completion."""
+    incidence = {}
+    for key, vert in vertices.items():
+        for region in reference_cube_completions(key, values=(-1, 1)):
+            incidence.setdefault(region, []).append(vert)
+    return incidence
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(sparse_zero_sequences(n), min_size=0, max_size=8, unique=True)
+))
+def test_region_incidence_matches_reference(keys):
+    # any value stands in for a vertex: only identity and order are compared
+    vertices = {key: object() for key in keys}
+    got = _region_incidence(vertices)
+    want = reference_region_incidence(vertices)
+    assert [(r, r.n) for r in got] == [(r, r.n) for r in want]  # same regions, same order
+    assert all(got[r] == want[r] for r in want)  # same vertices, same order
+
+
+@pytest.mark.parametrize("arch,seed", [((2, 6, 6, 6, 1), 0), ((4, 6, 1), 1), ((5, 8, 1), 1)])
+def test_region_incidence_matches_reference_on_builds(arch, seed):
+    net = random_init(arch, seed)
+    states = [first_layer_vertices(net)]
+    for k in range(2, net.depth + 2):
+        states.append(extend_layer(net, k, states[-1]))
+    for state in states:
+        want = reference_region_incidence(state.vertices)
+        assert list(state.incidence) == list(want)
+        assert all(state.incidence[r] == want[r] for r in want)
+
+
 @pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1)])
 def test_only_assemble_runs_a_full_closure(monkeypatch, arch):
     def refuse(vertex_signs):
@@ -384,6 +421,78 @@ def assert_layers_match_reference(net):
 )
 def test_batched_search_matches_reference(arch, seed):
     assert_layers_match_reference(random_init(arch, seed))
+
+
+def reference_first_layer_vertices(net, tol=Tolerances()):
+    """First-layer vertices found one subset at a time, each checked on the spot."""
+    weights, bias = net.layers[0].weights, net.layers[0].bias
+    n1 = net.architecture[1]
+    vertices = {}
+    for alpha in itertools.combinations(range(n1), net.n0):
+        sub = weights[list(alpha)]
+        cond = float(np.linalg.cond(sub))
+        if not np.isfinite(cond) or cond > tol.cond_max:
+            raise DegenerateNetwork(
+                f"first layer: subsystem {alpha} has condition estimate {cond:.3e}"
+            )
+        x = np.linalg.solve(sub, -bias[list(alpha)])
+        vals = weights @ x + bias
+        residual = float(np.max(np.abs(vals[list(alpha)])))
+        if residual > tol.residual_tol:
+            raise DegenerateNetwork(
+                f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
+            )
+        entries = [0] * n1
+        for j in range(n1):
+            if j not in alpha:
+                entries[j] = _strict_sign(vals[j], tol, f"first layer at {alpha}")
+        signs = S(entries)
+        vertices[signs] = Vertex(x, signs, alpha, residual, cond)
+    return vertices
+
+
+FIRST_LAYER_TOLERANCES = [
+    Tolerances(),
+    Tolerances(cond_max=3.0),  # some subsystem fails the condition check
+    Tolerances(residual_tol=0.0),  # a subsystem solved with a rounding residual fails
+    Tolerances(degeneracy_tol=0.05),  # a free map near zero at some vertex
+]
+
+
+@pytest.mark.parametrize("tol", FIRST_LAYER_TOLERANCES, ids=["default", "cond", "residual", "near"])
+@pytest.mark.parametrize(
+    "arch", [(2, 16, 1), (2, 40, 1), (3, 6, 6, 1), (4, 8, 8, 1), (5, 8, 1), (6, 7, 1)]
+)
+def test_batched_first_layer_matches_reference(arch, tol):
+    for seed in range(3):
+        net = random_init(arch, seed)
+        try:
+            want = reference_first_layer_vertices(net, tol)
+        except DegenerateNetwork as exc:
+            with pytest.raises(DegenerateNetwork) as got:
+                first_layer_vertices(net, tol)
+            assert str(got.value) == str(exc)
+            continue
+        got = first_layer_vertices(net, tol).vertices
+        assert list(got) == list(want)
+        for key, v in want.items():
+            g = got[key]
+            assert g.coords.tobytes() == v.coords.tobytes() and g.zero_set == v.zero_set
+            assert (g.max_residual, g.solve_condition) == (v.max_residual, v.solve_condition)
+
+
+def test_batched_first_layer_covers_every_check():
+    # each tolerance set above makes at least one of its nets raise its own check
+    messages = []
+    for tol in FIRST_LAYER_TOLERANCES[1:]:
+        for seed in range(3):
+            try:
+                reference_first_layer_vertices(random_init((2, 16, 1), seed), tol)
+            except DegenerateNetwork as exc:
+                messages.append(str(exc))
+    assert any("condition estimate" in m for m in messages)
+    assert any("solved with residual" in m for m in messages)
+    assert any("within degeneracy tolerance" in m for m in messages)
 
 
 def test_batched_search_with_singular_members(monkeypatch):

@@ -104,6 +104,29 @@ def test_build_bad_field_named(tmp_path, capsys):
     assert "layers[0].bias" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build", "oracle-check"])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("weights", [["a", 1.0], [0.0, 1.0]]),
+        ("weights", [[[1.0], 1.0], [0.0, 1.0]]),
+        ("bias", [True, 0.0]),
+        ("bias", ["1.5", 0.0]),
+    ],
+    ids=["string-weight", "nested-weight", "bool-bias", "string-bias"],
+)
+def test_non_number_entry_named(tmp_path, capsys, command, field, value):
+    data = network_to_dict(make_hand_net())
+    data["layers"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    flags = ["--out", str(tmp_path / "out")] if command == "build" else []
+    assert main([command, "--model", str(path), *flags]) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: layers[0].{field} must hold only numbers")
+    assert captured.err.count("\n") == 1
+
+
 def test_build_degenerate_model(tmp_path, capsys):
     data = {
         "architecture": [2, 3, 1],
@@ -186,6 +209,21 @@ BUILD_DIGESTS = {
         "283ae6ea37ef8f9ff16dfc550a19eafaf216940e40af60443f3cebf0886c8b34",
         "e3f4051ec768d6d9e8ccc341ebf8cb6a5518e7d091862f745d2d3827754a5d4f",
     ),
+    ((4, 8, 8, 1), 0): (
+        "57797199ed5a3e99552ad8ced6a224528402fd45abfc132cf47ab9b57bb1dcc1",
+        "3b49dc3596fe214449cf0d12d4d78c8997cca8f22b4ecd173754325c819b7920",
+        "7c7c24f90c31e7ba8b52c3927fb6a29c1c74366f1e67250f012960b2b32b798c",
+    ),
+    ((5, 8, 1), 1): (
+        "49fdfc423ac247212b75f606e9d56f294cfec723a0bec9be2fd2b1526c616ce7",
+        "0553a894c2225df4e2e94a4fa9213c5c3e4c2676d5a0fafb38af7601e9190595",
+        "827817159e569c4d5ead097f89e0fe78b1c1ba7a6d78374cd393705ed61fc345",
+    ),
+    ((6, 7, 1), 2): (
+        "731819e8f3782f15f3337a4738f5f9a887fb782db371b03edadb09a9b692ed22",
+        "9254a65ffd8b642a025b5474ffe3a4b90c468788b67de366af1292b23733b11a",
+        "1b2126cdde50bcfa7a4322c8d365d3518b428b9ae95cf3b5436ae7d2ecc33a5a",
+    ),
 }
 
 
@@ -225,6 +263,20 @@ def test_experiment_writes_stats(tmp_path, capsys):
     raw = [l.split(",") for l in lines[4:]]
     assert [r[0] for r in raw] == ["0", "1", "2", "3"]
     assert [r[1] for r in raw] == ["11", "12", "13", "14"]  # seed = base + trial
+
+
+# SHA-256 of stats.csv without its "# generated" timestamp line, from
+# `relucx experiment --arch 2,8,8,1 --trials 8 --seed 0`.
+STATS_DIGEST = "67bf00f5b2d2b67b608de0a19819d1a9884cdc36bbd4d953aae00ef994d5c108"
+
+
+def test_experiment_stats_locked(tmp_path):
+    out = tmp_path / "exp"
+    code = main(["experiment", "--arch", "2,8,8,1", "--trials", "8", "--seed", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    lines = (out / "stats.csv").read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    assert hashlib.sha256("\n".join(lines[1:]).encode()).hexdigest() == STATS_DIGEST
 
 
 def test_experiment_deterministic_and_thread_independent(tmp_path):

@@ -3,11 +3,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relucx import SignSequence, product
-from relucx.signs import cube_closure, cube_completions
+from relucx.signs import CubeClosure, cube_closure, cube_completions
 
 S = SignSequence.from_entries
 
@@ -15,6 +15,25 @@ S = SignSequence.from_entries
 def naive_product(a: SignSequence, b: SignSequence) -> SignSequence:
     """Elementwise reference: a's entry where nonzero, else b's."""
     return S([x if x != 0 else y for x, y in zip(a.entries, b.entries)])
+
+
+def reference_cube_completions(a: SignSequence, values=(-1, 0, 1)):
+    """The per-zero `replace` chain that the packed-key completions replaced."""
+    zeros = a.zero_positions()
+    for combo in itertools.product(values, repeat=len(zeros)):
+        s = a
+        for p, v in zip(zeros, combo):
+            s = s.replace(p, v)
+        yield s
+
+
+def reference_cube_closure(vertex_signs) -> CubeClosure:
+    """The closure over `reference_cube_completions`, one object per completion."""
+    graded: dict[int, set[SignSequence]] = {}
+    for v in vertex_signs:
+        for cell in reference_cube_completions(v):
+            graded.setdefault(cell.n_zeros(), set()).add(cell)
+    return CubeClosure(graded, graded.get(0, set()))
 
 
 def all_sequences(n: int) -> list[SignSequence]:
@@ -35,6 +54,28 @@ def vertex_sets(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     mk = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(S)
     return draw(st.lists(mk, min_size=1, max_size=5))
+
+
+@st.composite
+def sparse_zero_sequences(draw, n=None, max_zeros=6):
+    """Sequences of up to 40 entries (keys up to 80 bits) with few zeros."""
+    n = draw(st.integers(min_value=1, max_value=40)) if n is None else n
+    zeros = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=min(n, max_zeros)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return S([0 if i in zeros else s for i, s in enumerate(signs)])
+
+
+completion_inputs = st.one_of(
+    sparse_zero_sequences(),
+    st.integers(min_value=1, max_value=7).map(lambda n: S([0] * n)),  # all zeros
+    st.lists(st.sampled_from((-1, 1)), min_size=33, max_size=40).map(S),  # no zeros
+)
+
+
+@st.composite
+def equal_length_vertex_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    return draw(st.lists(sparse_zero_sequences(n, max_zeros=4), min_size=0, max_size=8))
 
 
 @st.composite
@@ -120,6 +161,42 @@ def test_cube_completions_counts():
     assert len(regions) == 2 ** a.n_zeros()
     assert all(r.n_zeros() == 0 for r in regions)
     assert all(product(a, r) == r for r in regions)
+
+
+# ---------------------------------------------------------------------------
+# packed-key completions and closure against the replace-chain reference
+
+
+@settings(max_examples=300)
+@given(completion_inputs, st.sampled_from([(-1, 0, 1), (-1, 1)]))
+@example(S([0] * 6), (-1, 0, 1))
+@example(S([1, -1] * 20), (-1, 1))
+@example(S([0] + [1, -1] * 17 + [0, 0]), (-1, 0, 1))
+def test_completions_match_reference_in_order(seq, values):
+    got = list(cube_completions(seq, values))
+    assert got == list(reference_cube_completions(seq, values))
+    assert [c.n for c in got] == [seq.n] * len(got)
+
+
+@settings(max_examples=200)
+@given(equal_length_vertex_sets())
+@example([S([0] * 4), S([1, 0, -1, 0])])
+@example([S([0] + [1] * 39), S([-1] * 38 + [0, 0])])
+def test_closure_matches_reference(verts):
+    got, want = cube_closure(verts), reference_cube_closure(verts)
+    assert list(got.graded) == list(want.graded)  # grades in the same order
+    assert got.graded == want.graded
+    assert got.regions == want.regions
+
+
+def test_closure_rejects_mixed_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        cube_closure([S([0, 1]), S([0, 1, 1])])
+
+
+def test_completions_reject_bad_values():
+    with pytest.raises(ValueError):
+        cube_completions(S([0, 1]), (-1, 2))
 
 
 # ---------------------------------------------------------------------------
