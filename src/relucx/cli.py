@@ -1,8 +1,14 @@
 """Command-line entry points: build, experiment, oracle-check.
 
+`experiment --threads K` splits its trials into up to K contiguous spans,
+one per CPU this process may run on: the calling process runs the first span
+and one forked child process runs each other span.  Results are merged in
+trial order, so `stats.csv` is the same for every K.
+
 Exit codes: 0 success, 1 unreadable or malformed model file, bad
-`experiment` input, an unwritable `--out` or an `oracle-check` grid too
-large to index, 2 degenerate network, 3 unsupported architecture, 4 oracle
+`experiment` input, an unwritable `--out`, an `experiment` trial process
+that ended without sending its result, or an `oracle-check` grid too large
+to index, 2 degenerate network, 3 unsupported architecture, 4 oracle
 violation.  Invalid flag values rejected by the argument parser exit 2.
 """
 
@@ -11,6 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -35,7 +44,16 @@ from .model import (
 from .oracle import SampleGrid, sample_region_signs
 from .topology import assemble, betti_gf2, compactify, decision_boundary, render_db_svg
 
-__all__ = ["ExperimentConfig", "StatsRow", "cmd_build", "cmd_experiment", "cmd_oracle_check", "main"]
+__all__ = [
+    "ExperimentConfig",
+    "StatsRow",
+    "TrialProcessError",
+    "cmd_build",
+    "cmd_experiment",
+    "cmd_oracle_check",
+    "main",
+    "run_experiment",
+]
 
 EXIT_OK = 0
 EXIT_BAD_MODEL = 1
@@ -59,6 +77,10 @@ class ExperimentConfig:
         _check_architecture(self.architecture)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+
+
+class TrialProcessError(Exception):
+    """A child process running a span of trials ended without sending its result."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +130,122 @@ def _run_trial(arch: tuple[int, ...], base_seed: int, trial: int, tol: Tolerance
     )
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[StatsRow, list]:
-    """Run all trials in trial order and aggregate them."""
+def _trial_spans(trials: int, workers: int) -> list[range]:
+    """Trials 0..trials-1 as `workers` contiguous spans whose sizes differ by at most one."""
+    size, extra = divmod(trials, workers)
+    stops = [0]
+    for w in range(workers):
+        stops.append(stops[-1] + size + (w < extra))
+    return [range(a, b) for a, b in zip(stops, stops[1:])]
+
+
+def _worker_count(workers: int, trials: int) -> int:
+    """Processes to run trials in: at most `workers`, one per usable CPU and per trial."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, trials))
+
+
+def _fork_span(config: ExperimentConfig, span: range):
+    """Start a child that runs `span` and pickles its trial results, or the exception
+    that stopped it, into a pipe; returns the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                results = [
+                    _run_trial(config.architecture, config.seed, t, config.tolerances)
+                    for t in span
+                ]
+                payload = (True, results)
+            except Exception as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            # never unwind into the caller's frames, and never flush the
+            # parent's buffered output a second time
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _span_results(data: bytes, status: int, span: range) -> list:
+    """The trial results a child sent, or the exception it sent raised here."""
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:  # nothing or a torn message: the child died, or could not pickle
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise TrialProcessError(
+            f"the process running trials {span.start}-{span.stop - 1} "
+            f"ended without a result ({how})"
+        ) from None
+    if not ok:
+        raise value
+    return value
+
+
+def _run_trials(config: ExperimentConfig, workers: int) -> list:
+    """`_run_trial` for every trial, in trial order, over up to `workers` processes.
+
+    The first span runs here and each other span in one forked child.  The
+    earliest failing trial in trial order decides the outcome, as in a serial
+    run; children still running then are killed, and every child is reaped
+    on every path.
+    """
+    arch, seed, tol = config.architecture, config.seed, config.tolerances
+    spans = _trial_spans(config.trials, _worker_count(workers, config.trials))
+    if len(spans) == 1:
+        return [_run_trial(arch, seed, t, tol) for t in spans[0]]
+    # a child ends with os._exit, so nothing buffered here is written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> (pipe, span) of each child not yet reaped
+    try:
+        for span in spans[1:]:
+            pid, pipe = _fork_span(config, span)
+            children[pid] = (pipe, span)
+        results = [_run_trial(arch, seed, t, tol) for t in spans[0]]
+        for pid in list(children):
+            pipe, span = children[pid]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            results += _span_results(data, status, span)
+        return results
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[StatsRow, list]:
+    """Run all trials and aggregate them in trial order.
+
+    `workers` > 1 splits the trials over up to that many processes (see
+    `_run_trials`); the rows and the summary are the same for every value.
+    """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if config.trials < 2:
         print("warning: single trial, standard errors reported as 0", file=sys.stderr)
-    results = [
-        _run_trial(config.architecture, config.seed, t, config.tolerances)
-        for t in range(config.trials)
-    ]
+    results = _run_trials(config, workers)
 
     n0 = config.architecture[0]
     rows = []
@@ -261,6 +391,8 @@ def cmd_experiment(args) -> int:
         print(f"error: cannot parse architecture {args.arch!r}", file=sys.stderr)
         return EXIT_BAD_MODEL
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         config = ExperimentConfig(
             architecture=arch,
             trials=args.trials,
@@ -277,13 +409,16 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         return _out_error(exc)
     try:
-        summary, rows = run_experiment(config)
+        summary, rows = run_experiment(config, args.threads)
     except DegenerateNetwork as exc:
         print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
         return EXIT_DEGENERATE
     except ArchitectureUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except TrialProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL
     try:
         write_stats_csv(str(out / "stats.csv"), summary, rows, arch[0])
     except OSError as exc:
@@ -381,7 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", default=".")
     p_exp.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored: trials run serially"
+        "--threads",
+        type=int,
+        default=1,
+        help="split the trials over up to this many processes, at most one per "
+        "usable CPU; results are the same for every value",
     )
     _add_tolerance_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)

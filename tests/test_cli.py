@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -360,6 +363,260 @@ def test_experiment_input_errors(tmp_path, capsys, arch, trials, expected):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "stats.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# experiment trials in forked processes
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Make the process appear to run on `n` CPUs, and bound each test's time
+    by an alarm so that a child that never answers fails the test, not hangs it."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("experiment did not finish in time")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    try:
+        yield set_cpus
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def experiment_argv(out, threads, arch="2,3,1", trials=4, seed=21):
+    return ["experiment", "--arch", arch, "--trials", str(trials), "--seed", str(seed),
+            "--out", str(out), "--threads", str(threads)]
+
+
+def test_trial_spans_cover_trials_in_order():
+    assert relucx.cli._trial_spans(7, 3) == [range(0, 3), range(3, 5), range(5, 7)]
+    assert relucx.cli._trial_spans(2, 2) == [range(0, 1), range(1, 2)]
+    assert relucx.cli._trial_spans(5, 1) == [range(0, 5)]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, capsys, fork_calls, threads):
+    out = tmp_path / "new"
+    assert main(experiment_argv(out, threads)) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --threads") and captured.err.count("\n") == 1
+    assert not out.exists()  # refused before --out was made
+    assert fork_calls == []
+    with pytest.raises(ValueError):
+        run_experiment(ExperimentConfig((2, 3, 1), trials=2, seed=0, out_dir=str(tmp_path)), 0)
+
+
+def test_threads_capped_by_cpus_and_trials(tmp_path, cpus, fork_calls):
+    assert main(experiment_argv(tmp_path / "trials", 1_000_000, trials=2)) == EXIT_OK
+    assert len(fork_calls) == min(2, len(os.sched_getaffinity(0))) - 1
+    cpus(2)
+    fork_calls.clear()
+    assert main(experiment_argv(tmp_path / "cpus", 1_000_000, trials=4)) == EXIT_OK
+    assert len(fork_calls) == 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("threads,trials", [(4, 1), (1, 4)])
+def test_no_child_for_one_trial_or_one_worker(tmp_path, cpus, fork_calls, threads, trials):
+    cpus(4)
+    assert main(experiment_argv(tmp_path, threads, trials=trials)) == EXIT_OK
+    assert fork_calls == []
+
+
+def test_serial_without_fork(tmp_path, cpus, monkeypatch):
+    cpus(2)
+    assert main(experiment_argv(tmp_path / "fork", 2)) == EXIT_OK
+    monkeypatch.delattr(os, "fork")
+    assert main(experiment_argv(tmp_path / "serial", 2)) == EXIT_OK
+    forked, serial = ((tmp_path / n / "stats.csv").read_text().splitlines()[1:] for n in ("fork", "serial"))
+    assert forked == serial
+
+
+def test_processes_match_serial_rows(tmp_path, cpus):
+    cpus(3)
+    config = ExperimentConfig((2, 4, 1), trials=7, seed=3, out_dir=str(tmp_path))
+    assert run_experiment(config, 3) == run_experiment(config)
+    assert_no_children()
+
+
+def test_parallel_run_leaves_no_child_and_one_json_line(tmp_path, cpus, fork_calls, capfd):
+    cpus(2)
+    assert main(experiment_argv(tmp_path, 2)) == EXIT_OK
+    assert len(fork_calls) == 1
+    assert_no_children()
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["trials"] == 4
+
+
+def run_both(tmp_path, capsys, argv_for):
+    """Exit code, stdout and stderr of a serial and a 3-process run of the same command."""
+    outcomes = []
+    for threads in (1, 3):
+        code = main(argv_for(tmp_path / f"t{threads}", threads))
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+        assert_no_children()
+    return outcomes
+
+
+def test_child_degenerate_trial_exits_as_serial(tmp_path, capsys, cpus, monkeypatch):
+    # trials 0-1 run in this process, 2-3 and 4-5 in two children; trials 3
+    # and 5 stay degenerate, and the earlier one, 3, must decide
+    cpus(3)
+    monkeypatch.setattr(relucx.cli, "_MAX_REDRAWS", 2)
+    arch, seed = (2, 3, 1), 40
+    poison = {
+        random_init(arch, seed + t + a * _REDRAW_STRIDE).layers[0].weights.tobytes()
+        for t in (3, 5)
+        for a in range(3)
+    }
+    real_build = relucx.cli.build_complex
+
+    def fake_build(net, tol):
+        if net.layers[0].weights.tobytes() in poison:
+            raise DegenerateNetwork("injected")
+        return real_build(net, tol)
+
+    monkeypatch.setattr(relucx.cli, "build_complex", fake_build)
+    serial, forked = run_both(
+        tmp_path, capsys, lambda out, k: experiment_argv(out, k, trials=6, seed=seed)
+    )
+    assert serial == forked
+    code, out, _ = forked
+    assert code == EXIT_DEGENERATE
+    assert json.loads(out) == {
+        "error": "degenerate_network",
+        "detail": "trial 3: still degenerate after 2 redraws",
+    }
+
+
+def test_child_unsupported_architecture_exits_as_serial(tmp_path, capsys, cpus, monkeypatch):
+    # trials 0-1, this process's span, run a supported net, so the n0 = 1
+    # refusal comes from a child
+    cpus(3)
+    real_trial = relucx.cli._run_trial
+
+    def run_trial(arch, base_seed, trial, tol):
+        if trial < 2:
+            arch = (2,) + arch[1:]
+        return real_trial(arch, base_seed, trial, tol)
+
+    monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
+    serial, forked = run_both(
+        tmp_path, capsys, lambda out, k: experiment_argv(out, k, arch="1,3,1", trials=6)
+    )
+    code, out, err = forked
+    assert code == EXIT_UNSUPPORTED
+    assert out == ""
+    assert err == serial[2] and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_child_exception_reaches_caller(tmp_path, cpus, monkeypatch):
+    cpus(2)
+    real_trial = relucx.cli._run_trial
+
+    def run_trial(arch, base_seed, trial, tol):
+        if trial == 3:
+            raise ZeroDivisionError("injected in trial 3")
+        return real_trial(arch, base_seed, trial, tol)
+
+    monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
+    config = ExperimentConfig((2, 3, 1), trials=4, seed=0, out_dir=str(tmp_path))
+    for workers in (1, 2):
+        with pytest.raises(ZeroDivisionError, match="^injected in trial 3$"):
+            run_experiment(config, workers)
+        assert_no_children()
+
+
+def test_child_exception_that_cannot_be_pickled(tmp_path, capsys, cpus, monkeypatch):
+    cpus(2)
+
+    class LocalError(Exception):
+        pass
+
+    def run_trial(arch, base_seed, trial, tol):
+        raise LocalError(f"trial {trial}")
+
+    monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
+    monkeypatch.setattr(relucx.cli, "_trial_spans", lambda trials, workers: [range(0), range(2)])
+    assert main(experiment_argv(tmp_path, 2, trials=2)) == EXIT_BAD_MODEL
+    assert capsys.readouterr().err == (
+        "error: the process running trials 0-1 ended without a result (exit status 1)\n"
+    )
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "die,how",
+    [
+        (lambda: os._exit(7), "exit status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+    ],
+)
+def test_child_dying_without_result(tmp_path, capsys, cpus, monkeypatch, die, how):
+    cpus(2)
+    parent = os.getpid()
+    real_trial = relucx.cli._run_trial
+
+    def run_trial(arch, base_seed, trial, tol):
+        if os.getpid() != parent:
+            die()
+        return real_trial(arch, base_seed, trial, tol)
+
+    monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
+    assert main(experiment_argv(tmp_path, 2)) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the process running trials 2-3 ended without a result ({how})\n"
+    assert not (tmp_path / "stats.csv").exists()
+    assert_no_children()
+
+
+def test_parent_failure_stops_children(tmp_path, cpus, monkeypatch):
+    cpus(2)
+    parent = os.getpid()
+    real_trial = relucx.cli._run_trial
+
+    def run_trial(arch, base_seed, trial, tol):
+        if os.getpid() != parent:
+            time.sleep(30)  # a child far slower than this process's span
+        if trial == 1:
+            raise DegenerateNetwork("trial 1: injected")
+        return real_trial(arch, base_seed, trial, tol)
+
+    monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
+    config = ExperimentConfig((2, 3, 1), trials=4, seed=0, out_dir=str(tmp_path))
+    started = time.monotonic()
+    with pytest.raises(DegenerateNetwork, match="trial 1: injected"):
+        run_experiment(config, 2)
+    assert time.monotonic() - started < 20  # the child was stopped, not waited for
+    assert_no_children()
 
 
 # ---------------------------------------------------------------------------
