@@ -21,17 +21,19 @@ vertices into the merge.  The first layer's subsets go through the same
 blocks: one batched `cond`, one `solve` and one `matmul` per block, then a
 walk in subset order that raises at the first failing subset.
 
-Regions are never solved for directly; after every layer one pass over the
-vertices maps each all-nonzero completion of a vertex sign sequence (a region)
-to the vertices in its closure.  The pass runs on packed integer keys and
-makes one `SignSequence` per region.  Only `topology.assemble` builds the full
-cube closure, once per network.
+Regions are never solved for directly; a state's region incidence maps each
+all-nonzero completion of a vertex sign sequence (a region) to the vertices
+in its closure.  It is computed on first read, in one pass over packed
+integer keys that makes one `SignSequence` per region, so the last layer's
+is built only if something reads it.  Only `topology.assemble` builds the
+full cube closure, once per network.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -70,11 +72,12 @@ class ArchitectureUnsupported(Exception):
 class Tolerances:
     degeneracy_tol: float = 1e-8
     cond_max: float = 1e12
-    residual_tol: float = 1e-6
-    merge_tol: float = 1e-6  # scaled by (1 + |coords|) at the comparison site
 
 
-DEFAULT_TOLERANCES = Tolerances()
+# Largest residual a solved system may leave, and largest coordinate gap of
+# two vertices with one sign sequence, scaled by (1 + |coords|) where compared.
+_RESIDUAL_TOL = 1e-6
+_MERGE_TOL = 1e-6
 
 # Candidate systems that first_layer_vertices and extend_layer solve and
 # check at once; a fixed block bounds the arrays of one step however many
@@ -97,8 +100,12 @@ class LayerBuildState:
 
     layer: int
     covered: int
-    vertices: dict[SignSequence, Vertex] = field(default_factory=dict)
-    incidence: dict[SignSequence, list[Vertex]] = field(default_factory=dict)  # region -> vertices
+    vertices: dict[SignSequence, Vertex]
+
+    @cached_property
+    def incidence(self) -> dict[SignSequence, list[Vertex]]:
+        """Region -> incident vertices, computed from `vertices` on first read."""
+        return _region_incidence(self.vertices)
 
     @property
     def regions(self):
@@ -143,7 +150,7 @@ def _vertex_rank(v: Vertex) -> tuple:
     return (v.max_residual, v.solve_condition, tuple(v.coords))
 
 
-def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex, tol: Tolerances) -> None:
+def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex) -> None:
     held = table.get(cand.signs)
     if held is None:
         table[cand.signs] = cand
@@ -152,7 +159,7 @@ def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex, tol: Toleranc
         float(np.linalg.norm(held.coords)), float(np.linalg.norm(cand.coords))
     )
     gap = float(np.max(np.abs(held.coords - cand.coords)))
-    if gap > tol.merge_tol * scale:
+    if gap > _MERGE_TOL * scale:
         raise DuplicateMismatch(
             f"sign sequence {cand.signs} held by two vertices {gap:.3e} apart"
         )
@@ -160,7 +167,7 @@ def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex, tol: Toleranc
         table[cand.signs] = cand
 
 
-def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES) -> LayerBuildState:
+def first_layer_vertices(net: ReluNetwork, tol: Tolerances = Tolerances()) -> LayerBuildState:
     """Vertices and regions of the first-layer hyperplane arrangement.
 
     Every n_0-subset of the layer's hyperplanes must meet in a single
@@ -182,7 +189,7 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES)
     for start in range(0, len(alphas), BLOCK_CANDIDATES):
         for vert in _first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES], tol):
             vertices[vert.signs] = vert
-    return LayerBuildState(1, n1, vertices, _region_incidence(vertices))
+    return LayerBuildState(1, n1, vertices)
 
 
 def _first_layer_block(layer, alphas, tol):
@@ -213,7 +220,7 @@ def _first_layer_block(layer, alphas, tol):
                 f"first layer: subsystem {alpha} has condition estimate {cond:.3e}"
             )
         residual = float(residuals[i])
-        if residual > tol.residual_tol:
+        if residual > _RESIDUAL_TOL:
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
             )
@@ -292,7 +299,7 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, tol, contex
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
         vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
-    solved = np.isfinite(xs).all(axis=1) & ~(residual > tol.residual_tol)
+    solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
     near = solved & np.any(remaining & (np.abs(vals_old) < tol.degeneracy_tol), axis=1)
     inside = solved & np.all(~remaining | (np.sign(vals_old) == signs), axis=1)
     walk = np.flatnonzero(near | inside)
@@ -327,15 +334,14 @@ def extend_layer(
     net: ReluNetwork,
     k: int,
     state: LayerBuildState,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    region_order=None,
+    tol: Tolerances = Tolerances(),
 ) -> LayerBuildState:
     """Extend the complex over the node maps of layer k (k = depth+1 is the output map).
 
     Existing vertices keep their coordinates and gain strict signs for the new
     maps.  New vertices are solved for all regions at once, BLOCK_CANDIDATES
     candidate systems at a time; the merge of results is order-independent,
-    so any order of the regions yields the same state.
+    so any order of the candidates yields the same state.
     """
     if k != state.layer + 1:
         raise ValueError(f"state covers layers 1..{state.layer}, cannot extend to layer {k}")
@@ -360,12 +366,7 @@ def extend_layer(
             )
 
     # (b) solve for new vertices inside every region of the current complex
-    if region_order is None:
-        regions = sorted(state.regions)
-    else:
-        regions = list(region_order)
-        if set(regions) != set(state.regions):
-            raise ValueError("region_order must enumerate exactly the state's regions")
+    regions = sorted(state.regions)
     ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
     region_signs = np.empty((len(regions), base), dtype=np.int8)
     for r, region in enumerate(regions):  # row by row: one entries tuple alive at a time
@@ -378,17 +379,17 @@ def extend_layer(
             normals, offsets, region_signs, ids[block], rows[block], base, tol,
             lambda r: f"layer {k}, region {regions[r]}",
         ):
-            _merge_vertex(discovered, vert, tol)
+            _merge_vertex(discovered, vert)
 
     vertices = dict(carried)
     for signs, vert in discovered.items():
         if signs in vertices:  # cannot happen: carried keys have no layer-k zeros
             raise DuplicateMismatch(f"sign sequence {signs} already carried over")
         vertices[signs] = vert
-    return LayerBuildState(k, base + n_k, vertices, _region_incidence(vertices))
+    return LayerBuildState(k, base + n_k, vertices)
 
 
-def build_complex(net: ReluNetwork, tol: Tolerances = DEFAULT_TOLERANCES) -> LayerBuildState:
+def build_complex(net: ReluNetwork, tol: Tolerances = Tolerances()) -> LayerBuildState:
     """Run the full pipeline: first layer, hidden layers, then the output map."""
     state = first_layer_vertices(net, tol)
     for k in range(2, net.depth + 2):

@@ -70,13 +70,14 @@ class ExperimentConfig:
     architecture: tuple[int, ...]
     trials: int
     seed: int
-    out_dir: str
     tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         _check_architecture(self.architecture)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class TrialProcessError(Exception):
@@ -348,15 +349,7 @@ def cmd_build(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _out_error(exc)
-    try:
-        state, cx, db, report = _analyze(net, tol)
-    except DegenerateNetwork as exc:
-        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
-        return EXIT_DEGENERATE
-    except ArchitectureUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-
+    state, cx, db, report = _analyze(net, tol)
     try:
         _write_build_outputs(out, state, cx, report)
         if args.svg:
@@ -397,28 +390,17 @@ def cmd_experiment(args) -> int:
             architecture=arch,
             trials=args.trials,
             seed=args.seed,
-            out_dir=args.out,
             tolerances=tol,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    out = Path(config.out_dir)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _out_error(exc)
-    try:
-        summary, rows = run_experiment(config, args.threads)
-    except DegenerateNetwork as exc:
-        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
-        return EXIT_DEGENERATE
-    except ArchitectureUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TrialProcessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
+    summary, rows = run_experiment(config, args.threads)
     try:
         write_stats_csv(str(out / "stats.csv"), summary, rows, arch[0])
     except OSError as exc:
@@ -439,7 +421,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(args, built_regions=None) -> int:
+def cmd_oracle_check(args) -> int:
     tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
     try:
         net = read_model(args.model)
@@ -447,25 +429,16 @@ def cmd_oracle_check(args, built_regions=None) -> int:
     except (OSError, ValueError) as exc:  # ModelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    try:
-        state = build_complex(net, tol)
-    except DegenerateNetwork as exc:
-        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
-        return EXIT_DEGENERATE
-    except ArchitectureUnsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if built_regions is None:
-        built_regions = state.regions
+    regions = build_complex(net, tol).regions
     sampled = sample_region_signs(net, grid)
-    violations = sorted(sampled - set(built_regions))
-    missing = sorted(set(built_regions) - sampled)
+    violations = sorted(sampled - regions)
+    missing = sorted(regions - sampled)
     report = {
-        "regions_builder": len(built_regions),
+        "regions_builder": len(regions),
         "regions_sampled": len(sampled),
         "missing": [s.text() for s in missing],
         "violations": [s.text() for s in violations],
-        "counts_ok": len(sampled) == len(built_regions),
+        "counts_ok": len(sampled) == len(regions),
     }
     print(json.dumps(report))
     return EXIT_ORACLE_VIOLATION if violations else EXIT_OK
@@ -535,8 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; map the failures every command shares to their exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DegenerateNetwork as exc:
+        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
+        return EXIT_DEGENERATE
+    except ArchitectureUnsupported as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except TrialProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL
 
 
 if __name__ == "__main__":

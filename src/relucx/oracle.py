@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
 
 # Grid points evaluated at once by sample_region_signs.
 CHUNK_POINTS = 1 << 16
+
+_EXCLUSION_TOL = 1e-6
 
 # Sign bits per packed word; a row of N node maps takes ceil(N / 62) words,
 # each a nonnegative int64.
@@ -83,12 +85,10 @@ class SampleGrid:
             yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
 
-def sample_region_signs(
-    net: ReluNetwork, grid: SampleGrid, exclusion_tol: float = 1e-6
-) -> set[SignSequence]:
+def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[SignSequence]:
     """Region sign sequences witnessed by grid points.
 
-    Points with any node map within exclusion_tol of zero are dropped (NaN
+    Points with any node map within _EXCLUSION_TOL of zero are dropped (NaN
     values too), so every returned sequence is a genuine open-region
     sample; an infinite value keeps its sign.  The grid is evaluated one
     chunk at a time, and only the distinct packed sign rows of each chunk
@@ -100,7 +100,7 @@ def sample_region_signs(
     keys: set[tuple[int, ...]] = set()
     for points in grid.chunks():
         vals = node_map_value_matrix(net, points)
-        keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
+        keep = np.all(np.abs(vals) >= _EXCLUSION_TOL, axis=1)
         words = _pack_rows(vals[keep] > 0)
         if words.shape[1] == 1:
             keys.update((w,) for w in np.unique(words[:, 0]).tolist())
@@ -146,17 +146,14 @@ def perturb_check(
     vertex: Vertex,
     epsilon: float = 1e-4,
     trials: int = 64,
-    rng: Optional[np.random.Generator] = None,
 ) -> bool:
     """Probe a sphere of radius epsilon around a claimed vertex.
 
     Genuine vertices show both signs of every zero coordinate among the
-    probes while every nonzero coordinate holds its sign.  Deterministic
-    for the default generator.
+    probes while every nonzero coordinate holds its sign.  Deterministic:
+    the probe directions come from a generator seeded with 0.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    u = rng.standard_normal((trials, net.n0))
+    u = np.random.default_rng(0).standard_normal((trials, net.n0))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = np.asarray(vertex.coords, dtype=float) + epsilon * u
     vals = node_map_value_matrix(net, pts)

@@ -20,12 +20,10 @@ integer operation, so completions and closures run on keys and make one
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
-    "CubeClosure",
     "SignSequence",
     "cube_closure",
     "product",
@@ -149,7 +147,7 @@ def facet_keys(a: SignSequence) -> Iterator[int]:
 
 
 def completion_keys(a: SignSequence, values: tuple[int, ...], patterns: dict) -> Iterator[int]:
-    """Packed keys of `cube_completions(a, values)`, in the same order.
+    """Packed keys of a with every zero re-assigned a value from `values`.
 
     A completion is a's key with its zero fields cleared, OR one pattern of
     codes.  `patterns` holds the patterns of each zero mask met so far, in
@@ -168,22 +166,12 @@ def completion_keys(a: SignSequence, values: tuple[int, ...], patterns: dict) ->
     return map((a.key ^ zero_lo).__or__, pats)  # zero fields are 0b01: XOR clears them
 
 
-def cube_completions(a: SignSequence, values: tuple[int, ...] = (-1, 0, 1)) -> Iterator[SignSequence]:
-    """All sequences obtained by re-assigning every zero of a a value from `values`."""
-    if any(v not in (-1, 0, 1) for v in values):
-        raise ValueError(f"sign entries must be -1, 0 or +1, got {values!r}")
-    return (SignSequence(a.n, key) for key in completion_keys(a, values, {}))
-
-
-CubeClosure = namedtuple("CubeClosure", ["graded", "regions"])
-
-
-def cube_closure(vertex_signs) -> CubeClosure:
+def cube_closure(vertex_signs) -> dict[int, set[SignSequence]]:
     """Close a set of equal-length vertex sequences under resolving zeros to +1/-1.
 
-    Returns the cells graded by zero count together with the zero-zero grade
-    (the top-dimensional regions) as a separate set.  Cells are collected and
-    graded as packed keys, and each distinct cell is wrapped once.
+    Returns the cells graded by zero count, ascending, with empty grades
+    left out; grade 0 holds the top-dimensional regions.  Cells are collected
+    and graded as packed keys, and each distinct cell is wrapped once.
     """
     keys: set[int] = set()
     patterns: dict[int, list[int]] = {}
@@ -198,5 +186,4 @@ def cube_closure(vertex_signs) -> CubeClosure:
     graded: list[set[SignSequence]] = [set() for _ in range(n + 1)]
     for key in keys:  # of the codes 0b00, 0b01, 0b10 only a zero sets the low bit
         graded[(key & lo).bit_count()].add(SignSequence(n, key))
-    closure = {zeros: cells for zeros, cells in enumerate(graded) if cells}
-    return CubeClosure(closure, closure.get(0, set()))
+    return {zeros: cells for zeros, cells in enumerate(graded) if cells}

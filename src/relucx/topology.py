@@ -67,14 +67,13 @@ class CubicalComplex:
 class ChainComplexGF2:
     """dims[k] cells in grade k; boundaries[k-1] holds the columns of d_k.
 
-    A column is an int bitmask over the (k-1)-grade cell indices.  When
-    has_infinity is set, grade 0 includes one extra cell (the point at
-    infinity) at the last index.
+    A column is an int bitmask over the (k-1)-grade cell indices.  After
+    `compactify`, grade 0 includes one extra cell (the point at infinity)
+    at the last index.
     """
 
     dims: tuple[int, ...]
     boundaries: tuple[tuple[int, ...], ...]
-    has_infinity: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
             raise ValueError(f"vertex {v} has {v.n_zeros()} zeros, expected {n0} on every vertex")
     closure = cube_closure(verts)
     by_key = attrgetter("key")  # equal lengths, so the keys sort as the sequences do
-    grading = tuple(tuple(sorted(closure.graded.get(n0 - d, ()), key=by_key)) for d in range(n0 + 1))
+    grading = tuple(tuple(sorted(closure.get(n0 - d, ()), key=by_key)) for d in range(n0 + 1))
     cx = CubicalComplex(n0, _index(grading), grading)
     # The open cells partition R^n0, whose compactly supported Euler
     # characteristic is (-1)^n0; a missed vertex can break this although the
@@ -134,7 +133,7 @@ def boundary_matrices(cx: CubicalComplex) -> ChainComplexGF2:
     for k in range(1, len(cx.grading)):
         rows = {seq.key: i for i, seq in enumerate(cx.grading[k - 1])}
         boundaries.append(tuple(_facet_column(seq, rows)[0] for seq in cx.grading[k]))
-    return ChainComplexGF2(cx.dim_counts(), tuple(boundaries), has_infinity=False)
+    return ChainComplexGF2(cx.dim_counts(), tuple(boundaries))
 
 
 def decision_boundary(cx: CubicalComplex) -> CubicalComplex:
@@ -167,7 +166,7 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
                 col ^= (2 - count) % 2 << inf_row
             cols.append(col)
         boundaries.append(tuple(cols))
-    return ChainComplexGF2(tuple(dims), tuple(boundaries), has_infinity=True)
+    return ChainComplexGF2(tuple(dims), tuple(boundaries))
 
 
 def gf2_rank(columns: Sequence[int]) -> int:
@@ -239,13 +238,15 @@ def _clip_segment(p: np.ndarray, q: np.ndarray, lo: float, hi: float):
     return p + t0 * d, p + t1 * d
 
 
+_SVG_SIZE = 600  # width and height of the drawing, in pixels
+
+
 def render_db_svg(
     net: ReluNetwork,
     vertex_coords: Mapping[SignSequence, np.ndarray],
     db: CubicalComplex,
     box: tuple[float, float],
     path: str,
-    size: int = 600,
 ) -> None:
     """Draw the decision boundary of a 2-input network, clipped to [lo, hi]^2."""
     if net.n0 != 2:
@@ -254,7 +255,7 @@ def render_db_svg(
     if not hi > lo:
         raise ValueError("box must satisfy lo < hi")
     span = hi - lo
-    scale = size / span
+    scale = _SVG_SIZE / span
 
     def to_svg(pt: np.ndarray) -> tuple[float, float]:
         return ((pt[0] - lo) * scale, (hi - pt[1]) * scale)
@@ -289,9 +290,9 @@ def render_db_svg(
             segments.append((seq, clipped))
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect x="0" y="0" width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white" '
         f'stroke="black" stroke-width="1"/>',
     ]
     for seq, (a, b) in segments:
@@ -305,7 +306,7 @@ def render_db_svg(
         if pt is None:
             continue
         x, y = to_svg(np.asarray(pt, dtype=float))
-        if 0.0 <= x <= size and 0.0 <= y <= size:
+        if 0.0 <= x <= _SVG_SIZE and 0.0 <= y <= _SVG_SIZE:
             lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="black"/>')
     lines.append("</svg>")
     with open(path, "w") as fh:

@@ -94,7 +94,7 @@ def crit7_results():
     t0 = time.perf_counter()
     out = {}
     for arch, seed in EXPERIMENTS:
-        config = ExperimentConfig(arch, trials=50, seed=seed, out_dir=".")
+        config = ExperimentConfig(arch, trials=50, seed=seed)
         out[arch] = run_experiment(config)
     return out, time.perf_counter() - t0
 

@@ -56,11 +56,10 @@ def test_hand_example_vertices(hand_net):
 def test_hand_example_closure_counts(hand_net):
     state = build_complex(hand_net)
     closure = cube_closure(state.vertices)
-    assert len(closure.graded[2]) == 3  # vertices
-    assert len(closure.graded[1]) == 9  # edges
-    assert len(closure.graded[0]) == 7  # regions
-    assert closure.regions == closure.graded[0]
-    assert state.regions == closure.regions
+    assert len(closure[2]) == 3  # vertices
+    assert len(closure[1]) == 9  # edges
+    assert len(closure[0]) == 7  # regions
+    assert state.regions == closure[0]
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +82,9 @@ def test_three_generic_lines():
     net = random_init((2, 3, 1), 0)
     state = first_layer_vertices(net)
     closure = cube_closure(state.vertices)
-    assert len(closure.graded[2]) == 3
-    assert len(closure.graded[1]) == 9
-    assert len(closure.graded[0]) == 7
+    assert len(closure[2]) == 3
+    assert len(closure[1]) == 9
+    assert len(closure[0]) == 7
 
 
 def test_single_layer_counts_match_arrangement_combinatorics():
@@ -118,9 +117,9 @@ def test_euler_relation_single_layer():
     for n1, seed in ((3, 1), (4, 2), (5, 3), (8, 4)):
         state = first_layer_vertices(random_init((2, n1, 1), seed))
         closure = cube_closure(state.vertices)
-        v = len(closure.graded.get(2, ()))
-        e = len(closure.graded.get(1, ()))
-        r = len(closure.graded.get(0, ()))
+        v = len(closure.get(2, ()))
+        e = len(closure.get(1, ()))
+        r = len(closure.get(0, ()))
         assert v - e + r == 1
 
 
@@ -192,13 +191,12 @@ def test_full_build_matches_brute_force(seed):
 def test_vertex_invariants(arch, seed):
     net = random_init(arch, seed)
     state = build_complex(net)
-    tol = Tolerances()
     assert state.covered == net.num_node_maps
     for signs, v in state.vertices.items():
         assert v.signs == signs
         assert len(v.zero_set) == net.n0
         assert signs.zero_positions() == tuple(sorted(v.zero_set))
-        assert v.max_residual <= tol.residual_tol
+        assert v.max_residual <= relucx.builder._RESIDUAL_TOL
         assert np.isfinite(v.solve_condition)
     coords = np.array([v.coords for v in state.vertices.values()])
     if len(coords) > 1:
@@ -218,14 +216,14 @@ def test_closure_purity_and_region_incidence(arch, seed):
     for state in states:
         # the regions are the closure's top grade, and each region's incident
         # vertices are exactly the vertices in its closure
-        assert state.regions == cube_closure(state.vertices).regions
+        assert state.regions == cube_closure(state.vertices)[0]
         verts = list(state.vertices)
         for region, members in state.incidence.items():
             assert [v.signs for v in members] == [
                 v for v in verts if product(v, region) == region
             ]
     closure = cube_closure(verts)
-    for zeros, grade in closure.graded.items():
+    for zeros, grade in closure.items():
         for cell in grade:
             assert cell.n_zeros() == zeros
             assert any(product(v, cell) == cell for v in verts)
@@ -287,35 +285,53 @@ def test_only_assemble_runs_a_full_closure(monkeypatch, arch):
 
 def test_single_vertex_cube_closure():
     closure = cube_closure([S([0, 0])])
-    assert {z: len(g) for z, g in closure.graded.items()} == {2: 1, 1: 4, 0: 4}
-    assert sum(len(g) for g in closure.graded.values()) == 9
+    assert {z: len(g) for z, g in closure.items()} == {2: 1, 1: 4, 0: 4}
+    assert sum(len(g) for g in closure.values()) == 9
 
 
-def test_schedule_independence():
+def test_last_layer_incidence_computed_on_first_read(monkeypatch):
+    calls = []
+    real = relucx.builder._region_incidence
+
+    def counted(vertices):
+        calls.append(1)
+        return real(vertices)
+
+    monkeypatch.setattr(relucx.builder, "_region_incidence", counted)
+    state = build_complex(random_init((2, 6, 6, 6, 1), 0))
+    assert len(calls) == 3  # layers 1-3, each read by the next extend_layer
+    regions = state.regions
+    assert len(calls) == 4  # the output layer's, when first read
+    assert state.regions == regions and len(calls) == 4  # and then kept
+
+
+def test_schedule_independence(monkeypatch):
     net = random_init((2, 5, 5, 1), 3)
-    state1 = first_layer_vertices(net)
+
+    def vertex_table(state):
+        return {
+            s: (v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
+            for s, v in state.vertices.items()
+        }
+
+    ref = build_complex(net)
+    real = relucx.builder._layer_candidates
     rng = np.random.default_rng(0)
+    orders = [lambda n: np.arange(n)[::-1]] + [rng.permutation] * 3
+    calls = []
 
-    def orders(state):
-        base = sorted(state.regions)
-        yield base
-        yield list(reversed(base))
-        for _ in range(3):
-            perm = list(base)
-            rng.shuffle(perm)
-            yield perm
+    def shuffled(*args):
+        ids, rows = real(*args)
+        order = orders[len(calls) // 2](len(ids))  # one order per build of two layers
+        calls.append(1)
+        return ids[order], rows[order]
 
-    outcomes = []
-    for order2 in orders(state1):
-        state2 = extend_layer(net, 2, state1, region_order=order2)
-        state3 = extend_layer(net, 3, state2)
-        outcomes.append(state3)
-    ref = outcomes[0]
-    for other in outcomes[1:]:
-        assert set(other.vertices) == set(ref.vertices)
+    monkeypatch.setattr(relucx.builder, "_layer_candidates", shuffled)
+    for _ in orders:
+        other = build_complex(net)
+        assert vertex_table(other) == vertex_table(ref)
         assert other.regions == ref.regions
-        for signs, v in other.vertices.items():
-            assert np.allclose(v.coords, ref.vertices[signs].coords, atol=1e-9)
+    assert len(calls) == 2 * len(orders)
 
 
 def test_dead_unit_build_succeeds():
@@ -373,7 +389,7 @@ def reference_new_vertices(net, k, state, tol=Tolerances()):
                     if not np.all(np.isfinite(x)):
                         continue
                     residual = float(np.max(np.abs(mat @ x + rhs)))
-                    if residual > tol.residual_tol:
+                    if residual > relucx.builder._RESIDUAL_TOL:
                         continue
                     vals_old = old_normals @ x + old_offsets
                     remaining = np.ones(base, dtype=bool)
@@ -393,7 +409,7 @@ def reference_new_vertices(net, k, state, tol=Tolerances()):
                     ]
                     signs = S(entries)
                     zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
-                    _merge_vertex(found, Vertex(x, signs, zero_set, residual, cond), tol)
+                    _merge_vertex(found, Vertex(x, signs, zero_set, residual, cond))
     return found
 
 
@@ -438,7 +454,7 @@ def reference_first_layer_vertices(net, tol=Tolerances()):
         x = np.linalg.solve(sub, -bias[list(alpha)])
         vals = weights @ x + bias
         residual = float(np.max(np.abs(vals[list(alpha)])))
-        if residual > tol.residual_tol:
+        if residual > relucx.builder._RESIDUAL_TOL:
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
             )
@@ -451,19 +467,22 @@ def reference_first_layer_vertices(net, tol=Tolerances()):
     return vertices
 
 
+# (tolerances, residual bound): each set past the first makes some check fail
 FIRST_LAYER_TOLERANCES = [
-    Tolerances(),
-    Tolerances(cond_max=3.0),  # some subsystem fails the condition check
-    Tolerances(residual_tol=0.0),  # a subsystem solved with a rounding residual fails
-    Tolerances(degeneracy_tol=0.05),  # a free map near zero at some vertex
+    (Tolerances(), relucx.builder._RESIDUAL_TOL),
+    (Tolerances(cond_max=3.0), relucx.builder._RESIDUAL_TOL),  # the condition check
+    (Tolerances(), 0.0),  # a subsystem solved with a rounding residual
+    (Tolerances(degeneracy_tol=0.05), relucx.builder._RESIDUAL_TOL),  # a free map near zero
 ]
 
 
-@pytest.mark.parametrize("tol", FIRST_LAYER_TOLERANCES, ids=["default", "cond", "residual", "near"])
+@pytest.mark.parametrize("case", FIRST_LAYER_TOLERANCES, ids=["default", "cond", "residual", "near"])
 @pytest.mark.parametrize(
     "arch", [(2, 16, 1), (2, 40, 1), (3, 6, 6, 1), (4, 8, 8, 1), (5, 8, 1), (6, 7, 1)]
 )
-def test_batched_first_layer_matches_reference(arch, tol):
+def test_batched_first_layer_matches_reference(monkeypatch, arch, case):
+    tol, residual_tol = case
+    monkeypatch.setattr(relucx.builder, "_RESIDUAL_TOL", residual_tol)
     for seed in range(3):
         net = random_init(arch, seed)
         try:
@@ -481,10 +500,11 @@ def test_batched_first_layer_matches_reference(arch, tol):
             assert (g.max_residual, g.solve_condition) == (v.max_residual, v.solve_condition)
 
 
-def test_batched_first_layer_covers_every_check():
+def test_batched_first_layer_covers_every_check(monkeypatch):
     # each tolerance set above makes at least one of its nets raise its own check
     messages = []
-    for tol in FIRST_LAYER_TOLERANCES[1:]:
+    for tol, residual_tol in FIRST_LAYER_TOLERANCES[1:]:
+        monkeypatch.setattr(relucx.builder, "_RESIDUAL_TOL", residual_tol)
         for seed in range(3):
             try:
                 reference_first_layer_vertices(random_init((2, 16, 1), seed), tol)
@@ -626,26 +646,23 @@ def test_extend_layer_contract_errors(hand_net):
     state = first_layer_vertices(hand_net)
     with pytest.raises(ValueError):
         extend_layer(hand_net, 3, state)
-    with pytest.raises(ValueError):
-        extend_layer(hand_net, 2, state, region_order=sorted(state.regions)[:-1])
 
 
 def test_merge_vertex_duplicate_handling():
-    tol = Tolerances()
     signs = S([0, 0, 1])
     a = Vertex(np.array([0.0, 0.0]), signs, (0, 1), 1e-12, 5.0)
     b = Vertex(np.array([1.0, 1.0]), signs, (0, 1), 1e-12, 5.0)
     table = {signs: a}
     with pytest.raises(DuplicateMismatch):
-        _merge_vertex(table, b, tol)
+        _merge_vertex(table, b)
     # coincident duplicates keep the better-conditioned discovery, either order
     c = Vertex(np.array([1e-9, 0.0]), signs, (0, 1), 1e-13, 2.0)
     t1 = {}
-    _merge_vertex(t1, a, tol)
-    _merge_vertex(t1, c, tol)
+    _merge_vertex(t1, a)
+    _merge_vertex(t1, c)
     t2 = {}
-    _merge_vertex(t2, c, tol)
-    _merge_vertex(t2, a, tol)
+    _merge_vertex(t2, c)
+    _merge_vertex(t2, a)
     assert t1[signs] is c and t2[signs] is c
 
 

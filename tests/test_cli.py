@@ -20,8 +20,6 @@ from relucx.cli import (
     ExperimentConfig,
     _box_pair,
     _REDRAW_STRIDE,
-    build_parser,
-    cmd_oracle_check,
     main,
     run_experiment,
 )
@@ -306,7 +304,7 @@ def test_experiment_deterministic_and_thread_independent(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_experiment_redraws_on_degeneracy(tmp_path, monkeypatch):
+def test_experiment_redraws_on_degeneracy(monkeypatch):
     import relucx.cli as cli
 
     poison = random_init((2, 3, 1), 50 + 1)  # the net trial 1 draws first
@@ -318,7 +316,7 @@ def test_experiment_redraws_on_degeneracy(tmp_path, monkeypatch):
         return real_build(net, tol)
 
     monkeypatch.setattr(cli, "build_complex", fake_build)
-    config = ExperimentConfig((2, 3, 1), trials=3, seed=50, out_dir=str(tmp_path))
+    config = ExperimentConfig((2, 3, 1), trials=3, seed=50)
     summary, rows = run_experiment(config)
     assert summary.redraws == 1
     assert [r[0] for r in rows] == [0, 1, 2]
@@ -327,14 +325,14 @@ def test_experiment_redraws_on_degeneracy(tmp_path, monkeypatch):
     assert rows[0][1] == 50 and rows[2][1] == 52
 
 
-def test_experiment_single_trial_flags_se(tmp_path, capsys):
-    config = ExperimentConfig((2, 3, 1), trials=1, seed=5, out_dir=str(tmp_path))
+def test_experiment_single_trial_flags_se(capsys):
+    config = ExperimentConfig((2, 3, 1), trials=1, seed=5)
     summary, rows = run_experiment(config)
     assert "standard errors" in capsys.readouterr().err
     assert summary.betti_se == (0.0, 0.0)
     assert summary.bounded_se == 0.0
     with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig((2, 3, 1), trials=0, seed=5, out_dir=str(tmp_path)))
+        run_experiment(ExperimentConfig((2, 3, 1), trials=0, seed=5))
 
 
 def test_experiment_out_is_a_file(tmp_path, capsys):
@@ -354,15 +352,24 @@ def test_experiment_bad_arch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "arch,trials,expected",
-    [("2,0,1", "2", EXIT_BAD_MODEL), ("2,3,1", "0", EXIT_BAD_MODEL), ("1,3,1", "2", EXIT_UNSUPPORTED)],
+    "arch,trials,seed,expected",
+    [
+        ("2,0,1", "2", "0", EXIT_BAD_MODEL),
+        ("2,3,1", "0", "0", EXIT_BAD_MODEL),
+        ("1,3,1", "2", "0", EXIT_UNSUPPORTED),
+        ("2,3,1", "2", "-5", EXIT_BAD_MODEL),
+    ],
+    ids=["2,0,1-2-1", "2,3,1-0-1", "1,3,1-2-3", "2,3,1-2-seed-5-1"],
 )
-def test_experiment_input_errors(tmp_path, capsys, arch, trials, expected):
-    argv = ["experiment", "--arch", arch, "--trials", trials, "--out", str(tmp_path)]
+def test_experiment_input_errors(tmp_path, capsys, arch, trials, seed, expected):
+    out = tmp_path / "out"
+    argv = ["experiment", "--arch", arch, "--trials", trials, "--seed", seed, "--out", str(out)]
     assert main(argv) == expected
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "stats.csv").exists()
+    assert not (out / "stats.csv").exists()
+    # input errors are refused before --out is made; n0 = 1 only when building
+    assert out.exists() == (expected == EXIT_UNSUPPORTED)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +435,7 @@ def test_threads_below_one_rejected(tmp_path, capsys, fork_calls, threads):
     assert not out.exists()  # refused before --out was made
     assert fork_calls == []
     with pytest.raises(ValueError):
-        run_experiment(ExperimentConfig((2, 3, 1), trials=2, seed=0, out_dir=str(tmp_path)), 0)
+        run_experiment(ExperimentConfig((2, 3, 1), trials=2, seed=0), 0)
 
 
 def test_threads_capped_by_cpus_and_trials(tmp_path, cpus, fork_calls):
@@ -457,9 +464,9 @@ def test_serial_without_fork(tmp_path, cpus, monkeypatch):
     assert forked == serial
 
 
-def test_processes_match_serial_rows(tmp_path, cpus):
+def test_processes_match_serial_rows(cpus):
     cpus(3)
-    config = ExperimentConfig((2, 4, 1), trials=7, seed=3, out_dir=str(tmp_path))
+    config = ExperimentConfig((2, 4, 1), trials=7, seed=3)
     assert run_experiment(config, 3) == run_experiment(config)
     assert_no_children()
 
@@ -537,7 +544,7 @@ def test_child_unsupported_architecture_exits_as_serial(tmp_path, capsys, cpus, 
     assert err == serial[2] and err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_child_exception_reaches_caller(tmp_path, cpus, monkeypatch):
+def test_child_exception_reaches_caller(cpus, monkeypatch):
     cpus(2)
     real_trial = relucx.cli._run_trial
 
@@ -547,7 +554,7 @@ def test_child_exception_reaches_caller(tmp_path, cpus, monkeypatch):
         return real_trial(arch, base_seed, trial, tol)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
-    config = ExperimentConfig((2, 3, 1), trials=4, seed=0, out_dir=str(tmp_path))
+    config = ExperimentConfig((2, 3, 1), trials=4, seed=0)
     for workers in (1, 2):
         with pytest.raises(ZeroDivisionError, match="^injected in trial 3$"):
             run_experiment(config, workers)
@@ -598,7 +605,7 @@ def test_child_dying_without_result(tmp_path, capsys, cpus, monkeypatch, die, ho
     assert_no_children()
 
 
-def test_parent_failure_stops_children(tmp_path, cpus, monkeypatch):
+def test_parent_failure_stops_children(cpus, monkeypatch):
     cpus(2)
     parent = os.getpid()
     real_trial = relucx.cli._run_trial
@@ -611,7 +618,7 @@ def test_parent_failure_stops_children(tmp_path, cpus, monkeypatch):
         return real_trial(arch, base_seed, trial, tol)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
-    config = ExperimentConfig((2, 3, 1), trials=4, seed=0, out_dir=str(tmp_path))
+    config = ExperimentConfig((2, 3, 1), trials=4, seed=0)
     started = time.monotonic()
     with pytest.raises(DegenerateNetwork, match="trial 1: injected"):
         run_experiment(config, 2)
@@ -634,16 +641,18 @@ def test_oracle_check_hand_model(hand_model, capsys):
     assert report["counts_ok"] is True
 
 
-def test_oracle_check_fault_injection(hand_model, capsys):
-    from relucx import build_complex, read_model
+def test_oracle_check_fault_injection(hand_model, capsys, monkeypatch):
+    real_build = relucx.cli.build_complex
 
-    state = build_complex(read_model(hand_model))
-    broken = sorted(state.regions)[:-1]  # drop one region record
-    args = build_parser().parse_args(
-        ["oracle-check", "--model", hand_model, "--box=-3,3", "--resolution", "200"]
-    )
-    code = cmd_oracle_check(args, built_regions=broken)
-    assert code == EXIT_ORACLE_VIOLATION
+    def build_missing_one_region(net, tol):
+        state = real_build(net, tol)
+        dropped = max(state.regions)
+        state.incidence = {r: vs for r, vs in state.incidence.items() if r != dropped}
+        return state
+
+    monkeypatch.setattr(relucx.cli, "build_complex", build_missing_one_region)
+    argv = ["oracle-check", "--model", hand_model, "--box=-3,3", "--resolution", "200"]
+    assert main(argv) == EXIT_ORACLE_VIOLATION
     report = json.loads(capsys.readouterr().out)
     assert len(report["violations"]) == 1
     assert report["counts_ok"] is False

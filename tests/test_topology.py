@@ -196,7 +196,6 @@ def test_compactify_hand_example(hand_net):
     cx = assemble(build_complex(hand_net).vertices)
     db = decision_boundary(cx)
     chain = compactify(db)
-    assert chain.has_infinity
     assert chain.dims == (3, 3)  # two vertices + infinity; segment + two rays
     inf_bit = 1 << 2
     with_inf = [col for col in chain.boundaries[0] if col & inf_bit]
@@ -246,13 +245,13 @@ def test_single_full_line_compactifies_to_circle():
 
 
 def test_circle_chain():
-    report = betti_gf2(ChainComplexGF2((1, 1), ((0,),), has_infinity=True))
+    report = betti_gf2(ChainComplexGF2((1, 1), ((0,),)))
     assert report.betti == (1, 1)
     assert report.bounded == 0 and report.unbounded == 1
 
 
 def test_two_disjoint_circles():
-    report = betti_gf2(ChainComplexGF2((2, 2), ((0, 0),), has_infinity=True))
+    report = betti_gf2(ChainComplexGF2((2, 2), ((0, 0),)))
     assert report.betti == (2, 2)
     assert report.bounded == 1 and report.unbounded == 1
 

@@ -2,8 +2,9 @@
 
 `perfbench/tracing.py` wraps the program's functions by module attribute, so
 renaming one of them in `src/` would silently blind the benchmark's per-layer
-metrics.  This test installs the tracer, runs one small `experiment` and one
-small `build`, and checks that the builder's spans were recorded.
+metrics.  This test installs the tracer, runs one small `experiment`, one
+small `build` and one small `oracle-check`, and checks that the builder's
+and the sampler's spans were recorded with the attributes their hooks read.
 """
 
 import importlib.util
@@ -40,6 +41,8 @@ def test_tracer_names_resolve_and_record_builder_spans(tracing, tmp_path, capsys
         exp = ["experiment", "--arch", "2,4,4,1", "--trials", "2", "--seed", "5"]
         assert relucx.cli.main([*exp, "--out", str(tmp_path / "exp")]) == 0
         assert relucx.cli.main(["build", "--model", str(model), "--out", str(tmp_path / "b")]) == 0
+        oracle = ["oracle-check", "--model", str(model), "--resolution", "20"]
+        assert relucx.cli.main(oracle) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -49,10 +52,14 @@ def test_tracer_names_resolve_and_record_builder_spans(tracing, tmp_path, capsys
     spans = {}
     for span in tracer.spans:
         spans.setdefault(span.name, []).append(span)
-    assert len(spans[tracing.ROOT]) == 2
+    assert len(spans[tracing.ROOT]) == 3
     for name in ("builder.cube_closure", "builder.first_layer_vertices", "builder.extend_layer"):
         assert name in spans
     # one closure per assembled network, and the builder's solves are counted
     assert len(spans["builder.cube_closure"]) == len(spans["topology.assemble"]) >= 3
     assert sum(s.attrs.get("solve_calls", 0) for s in spans["builder.first_layer_vertices"]) > 0
     assert sum(s.attrs.get("solve_calls", 0) for s in spans["builder.extend_layer"]) > 0
+    assert all(s.attrs["regions"] > 0 for s in spans["builder.extend_layer"])
+    [sample] = spans["oracle.sample_region_signs"]
+    assert sample.attrs["points"] == 20**3
+    assert 0 < sample.attrs["regions_sampled"] <= sample.attrs["points"]
