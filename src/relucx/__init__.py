@@ -17,7 +17,6 @@ from .builder import (
     DegenerateNetwork,
     DuplicateMismatch,
     LayerBuildState,
-    Tolerances,
     Vertex,
     build_complex,
     extend_layer,

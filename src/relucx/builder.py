@@ -16,17 +16,19 @@ composed by one stacked `matmul`, and the candidate systems of all its
 regions form one index array, in candidate order.  They are solved and
 checked in fixed blocks of BLOCK_CANDIDATES: the exact residual, sign and
 condition checks run as stacked `matmul` and batched `cond`, which give the
-same bits as one call per candidate, and Python only walks the accepted
-vertices into the merge.  The first layer's subsets go through the same
-blocks: one batched `cond`, one `solve` and one `matmul` per block, then a
-walk in subset order that raises at the first failing subset.
+same bits as one call per candidate; a block's sign rows are packed into
+keys at once, and Python only walks the accepted vertices into the merge.
+The first layer's subsets go through the same blocks: one batched `cond`,
+one `solve` and one `matmul` per block, then a walk in subset order that
+raises at the first failing subset.
 
-Regions are never solved for directly; a state's region incidence maps each
-all-nonzero completion of a vertex sign sequence (a region) to the vertices
-in its closure.  It is computed on first read, in one pass over packed
-integer keys that makes one `SignSequence` per region, so the last layer's
-is built only if something reads it.  Only `topology.assemble` builds the
-full cube closure, once per network.
+Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
+text is made only for error messages.  Regions are never solved for
+directly; a state's region incidence maps each all-nonzero completion of a
+vertex key (a region) to the vertices in its closure.  It is computed on
+first read, in one pass over the keys, so the last layer's is built only if
+something reads it.  Only `topology.assemble` builds the full cube closure,
+once per network.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix, stacked_region_affine_maps
 from .model import region_affine_maps  # noqa: F401  (unused here; perfbench/tracing.py patches it)
-from .signs import SignSequence, completion_keys
+from .signs import completion_keys, pack, text, unpack
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
 __all__ = [
-    "Tolerances",
     "Vertex",
     "LayerBuildState",
     "DegenerateNetwork",
@@ -68,16 +69,14 @@ class ArchitectureUnsupported(Exception):
     """Architecture outside the builder's contract (needs n_0 >= 2 and n_1 >= n_0)."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    degeneracy_tol: float = 1e-8
-    cond_max: float = 1e12
-
-
 # Largest residual a solved system may leave, and largest coordinate gap of
 # two vertices with one sign sequence, scaled by (1 + |coords|) where compared.
 _RESIDUAL_TOL = 1e-6
 _MERGE_TOL = 1e-6
+# A node map closer to 0 than this where its sign is needed, or a system with
+# a larger condition estimate, makes the network degenerate.
+_DEGENERACY_TOL = 1e-8
+_COND_MAX = 1e12
 
 # Candidate systems that first_layer_vertices and extend_layer solve and
 # check at once; a fixed block bounds the arrays of one step however many
@@ -88,7 +87,7 @@ BLOCK_CANDIDATES = 128
 @dataclass(frozen=True, eq=False)
 class Vertex:
     coords: np.ndarray
-    signs: SignSequence
+    key: int  # packed sign sequence
     zero_set: tuple[int, ...]  # flat node indices of the solved equations
     max_residual: float
     solve_condition: float
@@ -100,12 +99,12 @@ class LayerBuildState:
 
     layer: int
     covered: int
-    vertices: dict[SignSequence, Vertex]
+    vertices: dict[int, Vertex]
 
     @cached_property
-    def incidence(self) -> dict[SignSequence, list[Vertex]]:
+    def incidence(self) -> dict[int, list[Vertex]]:
         """Region -> incident vertices, computed from `vertices` on first read."""
-        return _region_incidence(self.vertices)
+        return _region_incidence(self.vertices, self.covered)
 
     @property
     def regions(self):
@@ -113,35 +112,30 @@ class LayerBuildState:
         return self.incidence.keys()
 
 
-def _region_incidence(vertices: dict[SignSequence, Vertex]) -> dict[SignSequence, list[Vertex]]:
-    """Map each all-nonzero completion (region) to the vertices incident to it.
-
-    Regions are collected as packed keys and each is wrapped once; all the
-    vertices of a layer state have the same length.
-    """
+def _region_incidence(vertices: dict[int, Vertex], n: int) -> dict[int, list[Vertex]]:
+    """Map each all-nonzero completion (region) of the n-entry vertex keys to its vertices."""
     incidence: defaultdict[int, list[Vertex]] = defaultdict(list)
     patterns: dict[int, list[int]] = {}
-    for signs, vert in vertices.items():
-        for region in completion_keys(signs, (-1, 1), patterns):
+    for key, vert in vertices.items():
+        for region in completion_keys(key, n, (-1, 1), patterns):
             incidence[region].append(vert)
-    n = next(iter(vertices)).n if vertices else 0
-    return {SignSequence(n, region): members for region, members in incidence.items()}
+    return dict(incidence)
 
 
-def _strict_sign(value: float, tol: Tolerances, context: str) -> int:
-    if abs(value) < tol.degeneracy_tol:
+def _strict_sign(value: float, context: str) -> int:
+    if abs(value) < _DEGENERACY_TOL:
         raise DegenerateNetwork(
             f"{context}: node map value {value:.3e} within degeneracy tolerance of 0"
         )
     return 1 if value > 0 else -1
 
 
-def _strict_signs(vals: np.ndarray, tol: Tolerances, context) -> np.ndarray:
+def _strict_signs(vals: np.ndarray, context) -> np.ndarray:
     """`_strict_sign` over an array; only its first entry near 0 calls `context(index)`."""
-    near = np.abs(vals) < tol.degeneracy_tol
+    near = np.abs(vals) < _DEGENERACY_TOL
     if near.any():
         first = np.unravel_index(near.argmax(), near.shape)
-        _strict_sign(vals[first], tol, context(first))
+        _strict_sign(vals[first], context(first))
     return np.where(vals > 0, 1, -1)
 
 
@@ -150,10 +144,10 @@ def _vertex_rank(v: Vertex) -> tuple:
     return (v.max_residual, v.solve_condition, tuple(v.coords))
 
 
-def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex) -> None:
-    held = table.get(cand.signs)
+def _merge_vertex(table: dict[int, Vertex], cand: Vertex, n: int) -> None:
+    held = table.get(cand.key)
     if held is None:
-        table[cand.signs] = cand
+        table[cand.key] = cand
         return
     scale = 1.0 + max(
         float(np.linalg.norm(held.coords)), float(np.linalg.norm(cand.coords))
@@ -161,13 +155,13 @@ def _merge_vertex(table: dict[SignSequence, Vertex], cand: Vertex) -> None:
     gap = float(np.max(np.abs(held.coords - cand.coords)))
     if gap > _MERGE_TOL * scale:
         raise DuplicateMismatch(
-            f"sign sequence {cand.signs} held by two vertices {gap:.3e} apart"
+            f"sign sequence {text(cand.key, n)} held by two vertices {gap:.3e} apart"
         )
     if _vertex_rank(cand) < _vertex_rank(held):
-        table[cand.signs] = cand
+        table[cand.key] = cand
 
 
-def first_layer_vertices(net: ReluNetwork, tol: Tolerances = Tolerances()) -> LayerBuildState:
+def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
     """Vertices and regions of the first-layer hyperplane arrangement.
 
     Every n_0-subset of the layer's hyperplanes must meet in a single
@@ -185,14 +179,14 @@ def first_layer_vertices(net: ReluNetwork, tol: Tolerances = Tolerances()) -> La
         )
     layer = net.layers[0]
     alphas = list(combinations(range(n1), n0))
-    vertices: dict[SignSequence, Vertex] = {}
+    vertices: dict[int, Vertex] = {}
     for start in range(0, len(alphas), BLOCK_CANDIDATES):
-        for vert in _first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES], tol):
-            vertices[vert.signs] = vert
+        for vert in _first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES]):
+            vertices[vert.key] = vert
     return LayerBuildState(1, n1, vertices)
 
 
-def _first_layer_block(layer, alphas, tol):
+def _first_layer_block(layer, alphas):
     """Solve and check one block of first-layer subsets; yield their vertices.
 
     Batched `cond`, `solve` and stacked `matmul` give the same bits as one
@@ -203,7 +197,7 @@ def _first_layer_block(layer, alphas, tol):
     weights, bias = layer.weights, layer.bias
     subsets = np.array(alphas)
     conds = np.linalg.cond(weights[subsets])
-    well = np.isfinite(conds) & ~(conds > tol.cond_max)
+    well = np.isfinite(conds) & ~(conds > _COND_MAX)
     xs = np.full(subsets.shape, np.nan)
     if well.any():
         xs[well] = np.linalg.solve(weights[subsets[well]], -bias[subsets[well], None])[..., 0]
@@ -211,8 +205,8 @@ def _first_layer_block(layer, alphas, tol):
     residuals = np.max(np.abs(np.take_along_axis(vals, subsets, axis=1)), axis=1)
     free = np.ones(vals.shape, dtype=bool)
     np.put_along_axis(free, subsets, False, axis=1)
-    near = np.any(free & (np.abs(vals) < tol.degeneracy_tol), axis=1)
-    entries = np.where(free, np.where(vals > 0, 1, -1), 0).tolist()
+    near = np.any(free & (np.abs(vals) < _DEGENERACY_TOL), axis=1)
+    keys = pack(np.where(free, np.where(vals > 0, 1, -1), 0)).tolist()
     for i, alpha in enumerate(alphas):
         cond = float(conds[i])
         if not well[i]:
@@ -225,13 +219,12 @@ def _first_layer_block(layer, alphas, tol):
                 f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
             )
         if near[i]:
-            _strict_signs(vals[i][free[i]], tol, lambda _: f"first layer at {alpha}")
-        signs = SignSequence.from_entries(entries[i])
-        yield Vertex(xs[i].copy(), signs, alpha, residual, cond)
+            _strict_signs(vals[i][free[i]], lambda _: f"first layer at {alpha}")
+        yield Vertex(xs[i].copy(), keys[i], alpha, residual, cond)
 
 
 def _layer_candidates(
-    state: LayerBuildState, regions: list[SignSequence], base: int, n_k: int, n0: int
+    state: LayerBuildState, regions: list[int], base: int, n_k: int, n0: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Region ids (C,) and rows (C, n_0) into the region maps of every candidate.
 
@@ -266,7 +259,7 @@ def _layer_candidates(
     return np.repeat(np.arange(len(regions), dtype=np.int32), sizes.sum(axis=1)), rows
 
 
-def _block_vertices(normals, offsets, region_signs, ids, rows, base, tol, context):
+def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     """Solve and exactly check one block of candidates; yield its vertices.
 
     `normals` (R, m, n_0), `offsets` (R, m) and `region_signs` (R, base) hold
@@ -300,16 +293,16 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, tol, contex
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
         vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
     solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
-    near = solved & np.any(remaining & (np.abs(vals_old) < tol.degeneracy_tol), axis=1)
+    near = solved & np.any(remaining & (np.abs(vals_old) < _DEGENERACY_TOL), axis=1)
     inside = solved & np.all(~remaining | (np.sign(vals_old) == signs), axis=1)
     walk = np.flatnonzero(near | inside)
     conds = np.linalg.cond(mats[walk])
     wids = ids[walk]
     vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
     free = unsolved[walk, base:]
-    tail_near = np.any(free & (np.abs(vals_new) < tol.degeneracy_tol), axis=1)
+    tail_near = np.any(free & (np.abs(vals_new) < _DEGENERACY_TOL), axis=1)
     tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
-    entries = np.hstack([np.where(remaining[walk], signs[walk], 0), tails]).tolist()
+    keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails])).tolist()
     for i, c in enumerate(walk.tolist()):
         if near[c]:
             raise DegenerateNetwork(
@@ -318,24 +311,18 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, tol, contex
             )
         # accepted: xs[c] is a vertex in the closure of its region
         cond = float(conds[i])
-        if not np.isfinite(cond) or cond > tol.cond_max:
+        if not np.isfinite(cond) or cond > _COND_MAX:
             raise DegenerateNetwork(
                 f"{context(ids[c])}: accepted system has condition estimate {cond:.3e}"
             )
         if tail_near[i]:
-            _strict_signs(vals_new[i][free[i]], tol, lambda _: context(ids[c]))
+            _strict_signs(vals_new[i][free[i]], lambda _: context(ids[c]))
         # every old row is below every new row, and both parts come sorted
         zero_set = tuple(sorted(rows[c].tolist()))
-        seq = SignSequence.from_entries(entries[i])
-        yield Vertex(xs[c].copy(), seq, zero_set, float(residual[c]), cond)
+        yield Vertex(xs[c].copy(), keys[i], zero_set, float(residual[c]), cond)
 
 
-def extend_layer(
-    net: ReluNetwork,
-    k: int,
-    state: LayerBuildState,
-    tol: Tolerances = Tolerances(),
-) -> LayerBuildState:
+def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuildState:
     """Extend the complex over the node maps of layer k (k = depth+1 is the output map).
 
     Existing vertices keep their coordinates and gain strict signs for the new
@@ -349,49 +336,48 @@ def extend_layer(
     if base != state.covered:
         raise ValueError("state prefix length does not match the network architecture")
     n_k = net.architecture[k]
+    n = base + n_k
 
-    # (a) carry existing vertices over, extending their signs by evaluation
-    carried: dict[SignSequence, Vertex] = {}
+    # (a) carry existing vertices over, extending their keys by evaluation
+    carried: dict[int, Vertex] = {}
     if state.vertices:
         olds = list(state.vertices.values())
         coords = np.array([v.coords for v in olds])
-        vals = node_map_value_matrix(net, coords)[:, base : base + n_k]
+        vals = node_map_value_matrix(net, coords)[:, base:n]
         tails = _strict_signs(
-            vals, tol, lambda ij: f"layer {k} at existing vertex {olds[ij[0]].signs}"
+            vals, lambda ij: f"layer {k} at existing vertex {text(olds[ij[0]].key, base)}"
         )
-        for tail, vert in zip(tails.tolist(), olds):
-            signs = vert.signs.concat(tail)
-            carried[signs] = Vertex(
-                vert.coords, signs, vert.zero_set, vert.max_residual, vert.solve_condition
+        for tail, vert in zip(pack(tails).tolist(), olds):
+            key = vert.key << 2 * n_k | tail
+            carried[key] = Vertex(
+                vert.coords, key, vert.zero_set, vert.max_residual, vert.solve_condition
             )
 
     # (b) solve for new vertices inside every region of the current complex
     regions = sorted(state.regions)
     ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
-    region_signs = np.empty((len(regions), base), dtype=np.int8)
-    for r, region in enumerate(regions):  # row by row: one entries tuple alive at a time
-        region_signs[r] = region.entries
+    region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
-    discovered: dict[SignSequence, Vertex] = {}
+    discovered: dict[int, Vertex] = {}
     for start in range(0, len(ids), BLOCK_CANDIDATES):
         block = slice(start, start + BLOCK_CANDIDATES)
         for vert in _block_vertices(
-            normals, offsets, region_signs, ids[block], rows[block], base, tol,
-            lambda r: f"layer {k}, region {regions[r]}",
+            normals, offsets, region_signs, ids[block], rows[block], base,
+            lambda r: f"layer {k}, region {text(regions[r], base)}",
         ):
-            _merge_vertex(discovered, vert)
+            _merge_vertex(discovered, vert, n)
 
     vertices = dict(carried)
-    for signs, vert in discovered.items():
-        if signs in vertices:  # cannot happen: carried keys have no layer-k zeros
-            raise DuplicateMismatch(f"sign sequence {signs} already carried over")
-        vertices[signs] = vert
-    return LayerBuildState(k, base + n_k, vertices)
+    for key, vert in discovered.items():
+        if key in vertices:  # cannot happen: carried keys have no layer-k zeros
+            raise DuplicateMismatch(f"sign sequence {text(key, n)} already carried over")
+        vertices[key] = vert
+    return LayerBuildState(k, n, vertices)
 
 
-def build_complex(net: ReluNetwork, tol: Tolerances = Tolerances()) -> LayerBuildState:
+def build_complex(net: ReluNetwork) -> LayerBuildState:
     """Run the full pipeline: first layer, hidden layers, then the output map."""
-    state = first_layer_vertices(net, tol)
+    state = first_layer_vertices(net)
     for k in range(2, net.depth + 2):
-        state = extend_layer(net, k, state, tol)
+        state = extend_layer(net, k, state)
     return state

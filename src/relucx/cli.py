@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .builder import (
-    ArchitectureUnsupported,
-    DegenerateNetwork,
-    Tolerances,
-    build_complex,
-)
+from .builder import ArchitectureUnsupported, DegenerateNetwork, build_complex
 from .model import (
     ModelFormatError,
     ReluNetwork,
@@ -42,6 +37,7 @@ from .model import (
     read_model,
 )
 from .oracle import SampleGrid, sample_region_signs
+from .signs import n_zeros, text
 from .topology import assemble, betti_gf2, compactify, decision_boundary, render_db_svg
 
 __all__ = [
@@ -70,7 +66,6 @@ class ExperimentConfig:
     architecture: tuple[int, ...]
     trials: int
     seed: int
-    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         _check_architecture(self.architecture)
@@ -97,9 +92,9 @@ class StatsRow:
     unbounded_se: float
 
 
-def _analyze(net: ReluNetwork, tol: Tolerances):
-    state = build_complex(net, tol)
-    cx = assemble(state.vertices.keys())
+def _analyze(net: ReluNetwork):
+    state = build_complex(net)
+    cx = assemble(state.vertices, state.covered)
     db = decision_boundary(cx)
     report = betti_gf2(compactify(db))
     return state, cx, db, report
@@ -114,14 +109,14 @@ def _mean_se(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _run_trial(arch: tuple[int, ...], base_seed: int, trial: int, tol: Tolerances):
+def _run_trial(arch: tuple[int, ...], base_seed: int, trial: int):
     """Build one random network, redrawing with a fresh seed on degeneracy."""
     redraws = 0
     for attempt in range(_MAX_REDRAWS + 1):
         seed = base_seed + trial + attempt * _REDRAW_STRIDE
         net = random_init(arch, seed)
         try:
-            _, _, _, report = _analyze(net, tol)
+            _, _, _, report = _analyze(net)
         except DegenerateNetwork:
             redraws += 1
             continue
@@ -166,10 +161,7 @@ def _fork_span(config: ExperimentConfig, span: range):
         try:
             os.close(read_fd)
             try:
-                results = [
-                    _run_trial(config.architecture, config.seed, t, config.tolerances)
-                    for t in span
-                ]
+                results = [_run_trial(config.architecture, config.seed, t) for t in span]
                 payload = (True, results)
             except Exception as exc:
                 payload = (False, exc)
@@ -208,10 +200,10 @@ def _run_trials(config: ExperimentConfig, workers: int) -> list:
     run; children still running then are killed, and every child is reaped
     on every path.
     """
-    arch, seed, tol = config.architecture, config.seed, config.tolerances
+    arch, seed = config.architecture, config.seed
     spans = _trial_spans(config.trials, _worker_count(workers, config.trials))
     if len(spans) == 1:
-        return [_run_trial(arch, seed, t, tol) for t in spans[0]]
+        return [_run_trial(arch, seed, t) for t in spans[0]]
     # a child ends with os._exit, so nothing buffered here is written twice
     sys.stdout.flush()
     sys.stderr.flush()
@@ -220,7 +212,7 @@ def _run_trials(config: ExperimentConfig, workers: int) -> list:
         for span in spans[1:]:
             pid, pipe = _fork_span(config, span)
             children[pid] = (pipe, span)
-        results = [_run_trial(arch, seed, t, tol) for t in spans[0]]
+        results = [_run_trial(arch, seed, t) for t in spans[0]]
         for pid in list(children):
             pipe, span = children[pid]
             with pipe:
@@ -308,13 +300,13 @@ def _out_error(exc: OSError) -> int:
 
 def _write_build_outputs(out: Path, state, cx, report) -> None:
     with open(out / "vertices.jsonl", "w") as fh:
-        for signs in sorted(state.vertices):
-            v = state.vertices[signs]
+        for key in sorted(state.vertices):
+            v = state.vertices[key]
             fh.write(
                 json.dumps(
                     {
                         "coords": [float(c) for c in v.coords],
-                        "signs": signs.text(),
+                        "signs": text(key, cx.n),
                         "zero_set": list(v.zero_set),
                         "residual": v.max_residual,
                     }
@@ -322,9 +314,9 @@ def _write_build_outputs(out: Path, state, cx, report) -> None:
                 + "\n"
             )
     with open(out / "complex.jsonl", "w") as fh:
-        for seq in sorted(cx.cells):
-            dim = cx.n0 - seq.n_zeros()
-            fh.write(json.dumps({"signs": seq.text(), "dim": dim}) + "\n")
+        for key in sorted(cx.cells):
+            dim = cx.n0 - n_zeros(key, cx.n)
+            fh.write(json.dumps({"signs": text(key, cx.n), "dim": dim}) + "\n")
     with open(out / "betti.json", "w") as fh:
         json.dump(
             {
@@ -338,7 +330,6 @@ def _write_build_outputs(out: Path, state, cx, report) -> None:
 
 
 def cmd_build(args) -> int:
-    tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
     try:
         net = read_model(args.model)
     except (OSError, ModelFormatError) as exc:
@@ -349,7 +340,7 @@ def cmd_build(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _out_error(exc)
-    state, cx, db, report = _analyze(net, tol)
+    state, cx, db, report = _analyze(net)
     try:
         _write_build_outputs(out, state, cx, report)
         if args.svg:
@@ -377,7 +368,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
     try:
         arch = tuple(int(p) for p in args.arch.replace("(", "").replace(")", "").split(","))
     except ValueError:
@@ -386,12 +376,7 @@ def cmd_experiment(args) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        config = ExperimentConfig(
-            architecture=arch,
-            trials=args.trials,
-            seed=args.seed,
-            tolerances=tol,
-        )
+        config = ExperimentConfig(architecture=arch, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
@@ -422,22 +407,22 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    tol = Tolerances(degeneracy_tol=args.deg_tol, cond_max=args.cond_max)
     try:
         net = read_model(args.model)
         grid = SampleGrid.square(args.box[0], args.box[1], net.n0, args.resolution)
     except (OSError, ValueError) as exc:  # ModelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    regions = build_complex(net, tol).regions
+    regions = build_complex(net).regions
     sampled = sample_region_signs(net, grid)
     violations = sorted(sampled - regions)
     missing = sorted(regions - sampled)
+    n = net.num_node_maps
     report = {
         "regions_builder": len(regions),
         "regions_sampled": len(sampled),
-        "missing": [s.text() for s in missing],
-        "violations": [s.text() for s in violations],
+        "missing": [text(key, n) for key in missing],
+        "violations": [text(key, n) for key in violations],
         "counts_ok": len(sampled) == len(regions),
     }
     print(json.dumps(report))
@@ -463,11 +448,6 @@ def _resolution(text: str) -> int:
     return value
 
 
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deg-tol", type=float, default=Tolerances().degeneracy_tol)
-    p.add_argument("--cond-max", type=float, default=Tolerances().cond_max)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relucx",
@@ -480,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", default=".")
     p_build.add_argument("--svg", action="store_true")
     p_build.add_argument("--box", type=_box_pair, default=(-5.0, 5.0))
-    _add_tolerance_flags(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_exp = sub.add_parser("experiment", help="Betti statistics over random networks")
@@ -495,14 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the trials over up to this many processes, at most one per "
         "usable CPU; results are the same for every value",
     )
-    _add_tolerance_flags(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_oracle = sub.add_parser("oracle-check", help="compare builder regions to sampling")
     p_oracle.add_argument("--model", required=True)
     p_oracle.add_argument("--box", type=_box_pair, default=(-20.0, 20.0))
     p_oracle.add_argument("--resolution", type=_resolution, default=400)
-    _add_tolerance_flags(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

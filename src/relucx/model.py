@@ -244,10 +244,12 @@ def network_from_dict(data: dict) -> ReluNetwork:
 
 def read_model(path: str) -> ReluNetwork:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError(f"invalid JSON in {path}: nested too deeply") from None
     return network_from_dict(data)
 
 

@@ -6,9 +6,9 @@ Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
 
 The grid is streamed in chunks of CHUNK_POINTS points, and each chunk's sign
-rows are packed into integer words and deduplicated before the next chunk
-is evaluated, so memory depends on the chunk size and the number of node
-maps but not on the resolution; time grows as resolution**n0.
+rows are packed into keys (`signs.pack`) and deduplicated before the next
+chunk is evaluated, so memory depends on the chunk size and the number of
+node maps but not on the resolution; time grows as resolution**n0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .builder import Vertex
 from .model import ReluNetwork, node_map_value_matrix
-from .signs import SignSequence
+from .signs import pack, unpack
 
 __all__ = [
     "SampleGrid",
@@ -34,10 +34,6 @@ __all__ = [
 CHUNK_POINTS = 1 << 16
 
 _EXCLUSION_TOL = 1e-6
-
-# Sign bits per packed word; a row of N node maps takes ceil(N / 62) words,
-# each a nonnegative int64.
-_WORD_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -85,51 +81,23 @@ class SampleGrid:
             yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
 
-def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[SignSequence]:
-    """Region sign sequences witnessed by grid points.
+def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
+    """Keys of the region sign sequences witnessed by grid points.
 
     Points with any node map within _EXCLUSION_TOL of zero are dropped (NaN
     values too), so every returned sequence is a genuine open-region
     sample; an infinite value keeps its sign.  The grid is evaluated one
-    chunk at a time, and only the distinct packed sign rows of each chunk
-    are kept, so memory does not depend on the grid's resolution.
+    chunk at a time, and only the distinct keys of each chunk are kept, so
+    memory does not depend on the grid's resolution.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
-    n = net.num_node_maps
-    keys: set[tuple[int, ...]] = set()
+    keys: set[int] = set()
     for points in grid.chunks():
         vals = node_map_value_matrix(net, points)
         keep = np.all(np.abs(vals) >= _EXCLUSION_TOL, axis=1)
-        words = _pack_rows(vals[keep] > 0)
-        if words.shape[1] == 1:
-            keys.update((w,) for w in np.unique(words[:, 0]).tolist())
-        elif len(words):
-            keys.update(map(tuple, np.unique(words, axis=0).tolist()))
-    return {_unpack_words(key, n) for key in keys}
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a (P, N) bool array into (P, ceil(N / _WORD_BITS)) int64 words.
-
-    Column 0 is the most significant bit of word 0, so each word reads its
-    columns in order.
-    """
-    words = []
-    for lo in range(0, bits.shape[1], _WORD_BITS):
-        block = bits[:, lo : lo + _WORD_BITS]
-        weights = np.left_shift(1, np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64))
-        words.append(block.astype(np.int64) @ weights)
-    return np.stack(words, axis=1)
-
-
-def _unpack_words(words: tuple[int, ...], n: int) -> SignSequence:
-    """The all-nonzero sign sequence of n node maps packed by _pack_rows."""
-    entries = []
-    for w, word in enumerate(words):
-        width = min(_WORD_BITS, n - w * _WORD_BITS)
-        entries.extend(1 if word >> (width - 1 - j) & 1 else -1 for j in range(width))
-    return SignSequence.from_entries(entries)
+        keys.update(np.unique(pack(np.where(vals[keep] > 0, 1, -1))).tolist())
+    return keys
 
 
 def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:
@@ -147,7 +115,7 @@ def perturb_check(
     epsilon: float = 1e-4,
     trials: int = 64,
 ) -> bool:
-    """Probe a sphere of radius epsilon around a claimed vertex.
+    """Probe a sphere of radius epsilon around a claimed vertex of a full build.
 
     Genuine vertices show both signs of every zero coordinate among the
     probes while every nonzero coordinate holds its sign.  Deterministic:
@@ -157,8 +125,7 @@ def perturb_check(
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = np.asarray(vertex.coords, dtype=float) + epsilon * u
     vals = node_map_value_matrix(net, pts)
-    entries = vertex.signs.entries
-    for i, s in enumerate(entries):
+    for i, s in enumerate(unpack([vertex.key], net.num_node_maps)[0].tolist()):
         col = vals[:, i]
         if s == 0:
             if not ((col > 0).any() and (col < 0).any()):

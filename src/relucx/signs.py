@@ -1,21 +1,21 @@
-"""Ternary sign sequences and the face semigroup on them.
+"""Ternary sign sequences as packed integer keys, and the face semigroup on them.
 
 A cell of the polyhedral complex carved out by a ReLU network is identified
 by the vector of signs (-1, 0, +1) that the node maps take on its relative
-interior.  This module implements that combinatorial layer in isolation:
-sequences, the idempotent face product (a is a face of b exactly when
-product(a, b) == b), the cube completions obtained by resolving zeros, and
-the cube closure of a set of vertex sequences, which the topology layer
-reads its cells from.
+interior.  The program carries that vector as one Python integer, its key:
+two bits per entry, the code for an entry e being e + 1 (so -1 -> 0b00,
+0 -> 0b01, +1 -> 0b10), with entry 0 in the most significant field.  Keys of
+one length therefore order as the sequences do lexicographically under
+-1 < 0 < +1.  A key does not record its length n, so every function here
+that needs it takes it.  `pack`, `unpack` and `text` convert between keys,
+arrays of entries and the textual form "(1,0,-1)"; they hold for any n.
 
-Sequences are packed two bits per entry into a single Python integer so
-that equality, hashing and the canonical order are plain integer operations.
-The code for an entry e is e + 1 (so -1 -> 0b00, 0 -> 0b01, +1 -> 0b10)
-and entry 0 occupies the most significant field, which makes the integer
-order coincide with lexicographic order under -1 < 0 < +1.  A completion
-(the key with its zero fields cleared, OR a pattern of codes) is then one
-integer operation, so completions and closures run on keys and make one
-`SignSequence` per distinct cell.
+On keys, a completion (the key with its zero fields cleared, OR a pattern of
+codes) and a facet (one field set to 0b01) are single integer operations;
+the builder's region incidence and the cube closure that the topology layer
+reads its cells from run on them.  `SignSequence` pairs a key with its length
+as a value type for the face product (a is a face of b exactly when
+product(a, b) == b).
 """
 
 from __future__ import annotations
@@ -23,11 +23,22 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 __all__ = [
     "SignSequence",
     "cube_closure",
+    "pack",
     "product",
+    "text",
+    "unpack",
 ]
+
+# Two-bit fields per int64 word while packing and unpacking: keys of up to
+# this many entries are int64 arrays, longer ones arrays of Python ints.
+_WORD_FIELDS = 31
+
+_ENTRY_TEXT = ("-1", "0", "1")  # by code
 
 
 @lru_cache(maxsize=None)
@@ -36,8 +47,46 @@ def _lo_mask(n: int) -> int:
     return ((1 << (2 * n)) - 1) // 3
 
 
+def _zero_bits(key: int, n: int) -> int:
+    """Low bit set in each field whose entry is 0."""
+    return ~(key >> 1) & key & _lo_mask(n)
+
+
+def n_zeros(key: int, n: int) -> int:
+    return _zero_bits(key, n).bit_count()
+
+
+def pack(rows) -> np.ndarray:
+    """Keys of the rows of an (R, n) array of entries in {-1, 0, +1}, as an (R,) array.
+
+    The array is int64 for n <= 31 and holds Python ints otherwise; its
+    `tolist()` gives Python ints either way.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    keys = np.zeros(len(rows), dtype=np.int64 if n <= _WORD_FIELDS else object)
+    for lo in range(0, n, _WORD_FIELDS):
+        width = min(_WORD_FIELDS, n - lo)
+        weights = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        # sum (e + 1) * w, without a copy of the rows for the + 1
+        keys = keys << 2 * width | rows[:, lo : lo + width] @ weights + weights.sum()
+    return keys
+
+
+def unpack(keys, n: int) -> np.ndarray:
+    """Entries of keys of n entries, as an (R, n) int8 array: the inverse of `pack`."""
+    keys = np.asarray(keys, dtype=np.int64 if n <= _WORD_FIELDS else object)
+    shifts = np.arange(2 * n - 2, -1, -2, dtype=np.int64)
+    return ((keys[:, None] >> shifts) & 3).astype(np.int8) - 1
+
+
+def text(key: int, n: int) -> str:
+    """The textual form "(1,0,-1)" of a key of n entries."""
+    return "(" + ",".join([_ENTRY_TEXT[key >> s & 3] for s in range(2 * n - 2, -1, -2)]) + ")"
+
+
 class SignSequence:
-    """Immutable sequence over {-1, 0, +1}, ordered most-significant-first."""
+    """Immutable sequence over {-1, 0, +1}: a key and its length n."""
 
     __slots__ = ("n", "key")
 
@@ -56,47 +105,12 @@ class SignSequence:
             n += 1
         return cls(n, key)
 
-    @classmethod
-    def from_text(cls, text: str) -> "SignSequence":
-        """Parse the textual form "(1,1,-1,0)" (spaces tolerated)."""
-        body = text.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"sign sequence text must be parenthesized: {text!r}")
-        parts = [p.strip() for p in body[1:-1].split(",") if p.strip()]
-        return cls.from_entries(int(p) for p in parts)
-
     @property
     def entries(self) -> tuple[int, ...]:
-        k = self.key  # a list first: tuple(<generator>) measured ~1.3 MB more peak RSS
-        return tuple([((k >> shift) & 3) - 1 for shift in range(2 * self.n - 2, -1, -2)])
-
-    def entry(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return ((self.key >> (2 * (self.n - 1 - i))) & 3) - 1
-
-    def _zero_bits(self) -> int:
-        """Low bit set in each field whose entry is 0."""
-        k = self.key
-        return ~(k >> 1) & k & _lo_mask(self.n)
-
-    def zero_positions(self) -> tuple[int, ...]:
-        z = self._zero_bits()
-        return tuple(i for i in range(self.n) if (z >> (2 * (self.n - 1 - i))) & 1)
+        return tuple(unpack([self.key], self.n)[0].tolist())
 
     def n_zeros(self) -> int:
-        return self._zero_bits().bit_count()
-
-    def replace(self, position: int, value: int) -> "SignSequence":
-        if value not in (-1, 0, 1):
-            raise ValueError(f"sign entry must be -1, 0 or +1, got {value!r}")
-        shift = 2 * (self.n - 1 - position)
-        key = (self.key & ~(3 << shift)) | ((value + 1) << shift)
-        return SignSequence(self.n, key)
-
-    def concat(self, entries: Iterable[int]) -> "SignSequence":
-        tail = SignSequence.from_entries(entries)
-        return SignSequence(self.n + tail.n, (self.key << (2 * tail.n)) | tail.key)
+        return n_zeros(self.key, self.n)
 
     def __len__(self) -> int:
         return self.n
@@ -115,7 +129,7 @@ class SignSequence:
         return (self.n, self.key) < (other.n, other.key)
 
     def text(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return text(self.key, self.n)
 
     def __str__(self) -> str:
         return self.text()
@@ -132,29 +146,29 @@ def product(a: SignSequence, b: SignSequence) -> SignSequence:
     """
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    zf = a._zero_bits()
+    zf = _zero_bits(a.key, a.n)
     zf |= zf << 1  # widen to full two-bit fields
     return SignSequence(a.n, (a.key & ~zf) | (b.key & zf))
 
 
-def facet_keys(a: SignSequence) -> Iterator[int]:
-    """Packed keys of a with one nonzero entry set to 0, first entry first."""
-    nonzero = _lo_mask(a.n) & ~a._zero_bits()  # low bit of each nonzero field
+def facet_keys(key: int, n: int) -> Iterator[int]:
+    """Keys with one nonzero entry of a key of n entries set to 0, first entry first."""
+    nonzero = _lo_mask(n) & ~_zero_bits(key, n)  # low bit of each nonzero field
     while nonzero:
         shift = nonzero.bit_length() - 1
         nonzero ^= 1 << shift
-        yield a.key & ~(3 << shift) | 1 << shift  # that field set to 0b01
+        yield key & ~(3 << shift) | 1 << shift  # that field set to 0b01
 
 
-def completion_keys(a: SignSequence, values: tuple[int, ...], patterns: dict) -> Iterator[int]:
-    """Packed keys of a with every zero re-assigned a value from `values`.
+def completion_keys(key: int, n: int, values: tuple[int, ...], patterns: dict) -> Iterator[int]:
+    """Keys of a key of n entries with every zero re-assigned a value from `values`.
 
-    A completion is a's key with its zero fields cleared, OR one pattern of
+    A completion is the key with its zero fields cleared, OR one pattern of
     codes.  `patterns` holds the patterns of each zero mask met so far, in
     `itertools.product` order, most significant field first; a caller keeps
     one such dict for one pass, with one `values`.
     """
-    zero_lo = a._zero_bits()
+    zero_lo = _zero_bits(key, n)
     pats = patterns.get(zero_lo)
     if pats is None:
         codes, pats, rest = [v + 1 for v in values], [0], zero_lo
@@ -163,27 +177,23 @@ def completion_keys(a: SignSequence, values: tuple[int, ...], patterns: dict) ->
             rest ^= 1 << shift
             pats = [p | c << shift for p in pats for c in codes]
         patterns[zero_lo] = pats
-    return map((a.key ^ zero_lo).__or__, pats)  # zero fields are 0b01: XOR clears them
+    return map((key ^ zero_lo).__or__, pats)  # zero fields are 0b01: XOR clears them
 
 
-def cube_closure(vertex_signs) -> dict[int, set[SignSequence]]:
-    """Close a set of equal-length vertex sequences under resolving zeros to +1/-1.
+def cube_closure(vertex_keys: Iterable[int], n: int) -> dict[int, set[int]]:
+    """Close a set of vertex keys of n entries under resolving zeros to +1/-1.
 
-    Returns the cells graded by zero count, ascending, with empty grades
-    left out; grade 0 holds the top-dimensional regions.  Cells are collected
-    and graded as packed keys, and each distinct cell is wrapped once.
+    Returns the cell keys graded by zero count, ascending, with empty grades
+    left out; grade 0 holds the top-dimensional regions.
     """
     keys: set[int] = set()
     patterns: dict[int, list[int]] = {}
-    lengths = set()
-    for v in vertex_signs:
-        keys.update(completion_keys(v, (-1, 0, 1), patterns))
-        lengths.add(v.n)
-    if len(lengths) > 1:
-        raise ValueError(f"vertex sequences of different lengths {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
+    for v in vertex_keys:
+        keys.update(completion_keys(v, n, (-1, 0, 1), patterns))
+    if keys and max(keys) >> 2 * n:
+        raise ValueError(f"a vertex key has more than {n} entries")
     lo = _lo_mask(n)
-    graded: list[set[SignSequence]] = [set() for _ in range(n + 1)]
+    graded: list[set[int]] = [set() for _ in range(n + 1)]
     for key in keys:  # of the codes 0b00, 0b01, 0b10 only a zero sets the low bit
-        graded[(key & lo).bit_count()].add(SignSequence(n, key))
+        graded[(key & lo).bit_count()].add(key)
     return {zeros: cells for zeros, cells in enumerate(graded) if cells}

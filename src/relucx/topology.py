@@ -1,12 +1,13 @@
 """Cell complex assembly, mod-2 boundary maps, and decision-boundary topology.
 
-Cells are reconstructed from vertex sign sequences by cube closure, graded by
-dimension (n_0 minus the zero count) and ordered by packed key.  Boundary
-matrices over GF(2) are read off the keys: a facet of a cell is its key with
-one nonzero field set to 0, provided that key is itself a cell.  The closure
-holds every completion of every vertex, so resolving any zero of a cell to
-+1 or -1 lands on a cell by construction; what can fail is a missed vertex,
-which the Euler characteristic check in `assemble` catches.
+Cells are the packed sign-sequence keys (see `relucx.signs`) of the cube
+closure of the vertex keys, graded by dimension (n_0 minus the zero count)
+and ascending within a grade.  Boundary matrices over GF(2) are read off the
+keys: a facet of a cell is its key with one nonzero field set to 0, provided
+that key is itself a cell.  The closure holds every completion of every
+vertex, so resolving any zero of a cell to +1 or -1 lands on a cell by
+construction; what can fail is a missed vertex, which the Euler
+characteristic check in `assemble` catches.
 
 The decision boundary is the subcomplex of cells whose output entry is 0.
 Its one-point compactification adds a single vertex at infinity; every edge
@@ -19,13 +20,13 @@ infinity term since a k-cell with k >= 2 has trivial mod-2 incidence with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model import ReluNetwork, node_map_values, region_affine_maps
-from .signs import SignSequence, cube_closure, facet_keys
+from .signs import SignSequence, cube_closure, facet_keys, n_zeros, text, unpack
 
 __all__ = [
     "CubicalComplex",
@@ -53,11 +54,15 @@ class BoundaryInconsistent(Exception):
 
 @dataclass(frozen=True)
 class CubicalComplex:
-    """Cells keyed by sign sequence, graded by cell dimension 0..n0."""
+    """Cell keys of n entries, graded by cell dimension 0..n0."""
 
     n0: int
-    cells: Mapping[SignSequence, int]
-    grading: tuple[tuple[SignSequence, ...], ...]
+    n: int
+    grading: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def cells(self) -> frozenset[int]:
+        return frozenset().union(*self.grading)
 
     def dim_counts(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.grading)
@@ -83,23 +88,24 @@ class BettiReport:
     unbounded: int
 
 
-def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
-    """Full complex generated by the vertices: cube closure, graded and indexed.
+def assemble(vertex_keys: Iterable[int], n: int) -> CubicalComplex:
+    """Full complex generated by the vertex keys of n entries: cube closure, graded.
 
     Raises `ClosureViolation` when the cells do not have the Euler
     characteristic of R^n0.
     """
-    verts = list(vertex_signs)
+    verts = list(vertex_keys)
     if not verts:
         raise ValueError("cannot assemble a complex from zero vertices")
-    n0 = verts[0].n_zeros()
+    n0 = n_zeros(verts[0], n)
     for v in verts:
-        if v.n_zeros() != n0:
-            raise ValueError(f"vertex {v} has {v.n_zeros()} zeros, expected {n0} on every vertex")
-    closure = cube_closure(verts)
-    by_key = attrgetter("key")  # equal lengths, so the keys sort as the sequences do
-    grading = tuple(tuple(sorted(closure.get(n0 - d, ()), key=by_key)) for d in range(n0 + 1))
-    cx = CubicalComplex(n0, _index(grading), grading)
+        if n_zeros(v, n) != n0:
+            raise ValueError(
+                f"vertex {text(v, n)} has {n_zeros(v, n)} zeros, expected {n0} on every vertex"
+            )
+    closure = cube_closure(verts, n)
+    grading = tuple(tuple(sorted(closure.get(n0 - d, ()))) for d in range(n0 + 1))
+    cx = CubicalComplex(n0, n, grading)
     # The open cells partition R^n0, whose compactly supported Euler
     # characteristic is (-1)^n0; a missed vertex can break this although the
     # cube closure is closed under resolving zeros whatever the vertices.
@@ -111,15 +117,10 @@ def assemble(vertex_signs: Iterable[SignSequence]) -> CubicalComplex:
     return cx
 
 
-def _index(grading) -> dict[SignSequence, int]:
-    """Cell -> index, counting through the grades in order."""
-    return {seq: i for i, seq in enumerate(seq for grade in grading for seq in grade)}
-
-
-def _facet_column(seq: SignSequence, rows: Mapping[int, int]) -> tuple[int, int]:
+def _facet_column(key: int, n: int, rows: Mapping[int, int]) -> tuple[int, int]:
     """Bitmask of present facets (one nonzero entry zeroed) and their count."""
     col = count = 0
-    for facet in facet_keys(seq):
+    for facet in facet_keys(key, n):
         row = rows.get(facet)
         if row is not None:
             col ^= 1 << row
@@ -131,16 +132,16 @@ def boundary_matrices(cx: CubicalComplex) -> ChainComplexGF2:
     """Mod-2 boundary maps of the complex as given (no compactification)."""
     boundaries = []
     for k in range(1, len(cx.grading)):
-        rows = {seq.key: i for i, seq in enumerate(cx.grading[k - 1])}
-        boundaries.append(tuple(_facet_column(seq, rows)[0] for seq in cx.grading[k]))
+        rows = {key: i for i, key in enumerate(cx.grading[k - 1])}
+        boundaries.append(tuple(_facet_column(key, cx.n, rows)[0] for key in cx.grading[k]))
     return ChainComplexGF2(cx.dim_counts(), tuple(boundaries))
 
 
 def decision_boundary(cx: CubicalComplex) -> CubicalComplex:
     """Subcomplex of cells whose output-map entry (the last one) is zero."""
     # the last entry is the lowest two-bit field, and 0 is coded 0b01
-    grading = tuple(tuple(seq for seq in grade if seq.key & 3 == 1) for grade in cx.grading)
-    return CubicalComplex(cx.n0, _index(grading), grading)
+    grading = tuple(tuple(key for key in grade if key & 3 == 1) for grade in cx.grading)
+    return CubicalComplex(cx.n0, cx.n, grading)
 
 
 def compactify(db: CubicalComplex) -> ChainComplexGF2:
@@ -157,12 +158,12 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
     boundaries = []
     for k in range(1, n0):
         dims.append(len(db.grading[k]))
-        rows = {seq.key: i for i, seq in enumerate(db.grading[k - 1])}
+        rows = {key: i for i, key in enumerate(db.grading[k - 1])}
         cols = []
-        for seq in db.grading[k]:
-            col, count = _facet_column(seq, rows)
+        for key in db.grading[k]:
+            col, count = _facet_column(key, db.n, rows)
             if k == 1:  # each missing endpoint is the point at infinity
-                assert count <= 2, f"edge {seq} has {count} vertex facets"
+                assert count <= 2, f"edge {text(key, db.n)} has {count} vertex facets"
                 col ^= (2 - count) % 2 << inf_row
             cols.append(col)
         boundaries.append(tuple(cols))
@@ -243,7 +244,7 @@ _SVG_SIZE = 600  # width and height of the drawing, in pixels
 
 def render_db_svg(
     net: ReluNetwork,
-    vertex_coords: Mapping[SignSequence, np.ndarray],
+    vertex_coords: Mapping[int, np.ndarray],
     db: CubicalComplex,
     box: tuple[float, float],
     path: str,
@@ -261,15 +262,16 @@ def render_db_svg(
         return ((pt[0] - lo) * scale, (hi - pt[1]) * scale)
 
     segments = []
-    for seq in db.grading[1]:
-        prefix = SignSequence.from_entries(seq.entries[:-1])
+    for key in db.grading[1]:
+        entries = unpack([key], db.n)[0]
+        prefix = SignSequence.from_entries(entries[:-1].tolist())
         normals, offsets = region_affine_maps(net, prefix, net.depth + 1)
         normal, offset = normals[-1], offsets[-1]
         norm = float(np.linalg.norm(normal))
         if norm == 0.0:
             continue
         direction = np.array([-normal[1], normal[0]]) / norm
-        facets = (SignSequence(seq.n, key) for key in facet_keys(seq))
+        facets = facet_keys(key, db.n)
         ends = [np.asarray(vertex_coords[f], dtype=float) for f in facets if f in vertex_coords]
         reach = 4.0 * span + 4.0 * max((float(np.max(np.abs(e))) for e in ends), default=0.0)
         if len(ends) == 2:
@@ -278,7 +280,7 @@ def render_db_svg(
             v = ends[0]
             eps = 1e-4 * span
             probe = node_map_values(net, v + eps * direction)
-            hidden_ok = all((probe[i] > 0) == (seq.entry(i) > 0) for i in range(seq.n - 1))
+            hidden_ok = np.array_equal(probe[:-1] > 0, entries[:-1] > 0)
             d = direction if hidden_ok else -direction
             a, b = v, v + reach * d
         else:
@@ -287,7 +289,7 @@ def render_db_svg(
             a, b = foot - reach * direction, foot + reach * direction
         clipped = _clip_segment(a, b, lo, hi)
         if clipped is not None:
-            segments.append((seq, clipped))
+            segments.append((text(key, db.n), clipped))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
@@ -295,14 +297,14 @@ def render_db_svg(
         f'<rect x="0" y="0" width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white" '
         f'stroke="black" stroke-width="1"/>',
     ]
-    for seq, (a, b) in segments:
+    for title, (a, b) in segments:
         (x1, y1), (x2, y2) = to_svg(a), to_svg(b)
         lines.append(
             f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
-            f'stroke="black" stroke-width="1.5"><title>{seq}</title></line>'
+            f'stroke="black" stroke-width="1.5"><title>{title}</title></line>'
         )
-    for seq in db.grading[0]:
-        pt = vertex_coords.get(seq)
+    for key in db.grading[0]:
+        pt = vertex_coords.get(key)
         if pt is None:
             continue
         x, y = to_svg(np.asarray(pt, dtype=float))

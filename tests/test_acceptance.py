@@ -31,6 +31,7 @@ from relucx import (
 )
 from relucx.builder import DegenerateNetwork
 from relucx.cli import ExperimentConfig, main, run_experiment
+from relucx.signs import unpack
 from relucx.topology import _check_dd_zero
 
 S = SignSequence.from_entries
@@ -65,7 +66,7 @@ def crit1_states():
 def crit2_analysis():
     net = make_hand_net()
     state = build_complex(net)
-    cx = assemble(state.vertices)
+    cx = assemble(state.vertices, state.covered)
     db = decision_boundary(cx)
     return net, state, cx, db, betti_gf2(compactify(db))
 
@@ -192,12 +193,12 @@ def test_criterion_5_chain_complex_guard(crit1_states, crit2_analysis, crit3_bui
     boundaries = []
     for runs in states.values():
         for _, st in runs:
-            complexes.append(assemble(st.vertices))
+            complexes.append(assemble(st.vertices, st.covered))
     _, _, hand_cx, hand_db, _ = crit2_analysis
     complexes.append(hand_cx)
     boundaries.append(hand_db)
     for _, st, _ in crit3_builds:
-        cx = assemble(st.vertices)
+        cx = assemble(st.vertices, st.covered)
         complexes.append(cx)
         boundaries.append(decision_boundary(cx))
     bad = 0
@@ -274,8 +275,7 @@ def test_criterion_8_numerical_stability(crit1_states, crit2_analysis, crit3_bui
         coords = np.array([v.coords for v in verts])
         vals = node_map_value_matrix(net, coords)[:, : st.covered]
         for row, v in zip(vals, verts):
-            mask = np.zeros(st.covered, dtype=bool)
-            mask[list(v.signs.zero_positions())] = True
+            mask = unpack([v.key], st.covered)[0] == 0
             checked += 1
             if float(np.max(np.abs(row[mask]))) > 1e-6:
                 outside += 1

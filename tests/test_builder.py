@@ -14,7 +14,6 @@ from relucx import (
     DegenerateNetwork,
     DuplicateMismatch,
     ReluNetwork,
-    Tolerances,
     Vertex,
     build_complex,
     cube_closure,
@@ -28,10 +27,9 @@ import relucx.builder
 import relucx.topology
 from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
 from relucx.cli import _analyze
-from relucx.signs import SignSequence
+from relucx.signs import SignSequence, unpack
+from conftest import key_of, zero_positions
 from test_signs import reference_cube_completions, sparse_zero_sequences
-
-S = SignSequence.from_entries
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +40,9 @@ def test_hand_example_vertices(hand_net):
     state = build_complex(hand_net)
     assert len(state.vertices) == 3
     expect = {
-        S([0, 0, -1]): ((0.0, 0.0), (0, 1)),
-        S([0, 1, 0]): ((0.0, 1.0), (0, 2)),
-        S([1, 0, 0]): ((1.0, 0.0), (1, 2)),
+        key_of([0, 0, -1]): ((0.0, 0.0), (0, 1)),
+        key_of([0, 1, 0]): ((0.0, 1.0), (0, 2)),
+        key_of([1, 0, 0]): ((1.0, 0.0), (1, 2)),
     }
     assert set(state.vertices) == set(expect)
     for signs, (coords, zero_set) in expect.items():
@@ -55,7 +53,7 @@ def test_hand_example_vertices(hand_net):
 
 def test_hand_example_closure_counts(hand_net):
     state = build_complex(hand_net)
-    closure = cube_closure(state.vertices)
+    closure = cube_closure(state.vertices, state.covered)
     assert len(closure[2]) == 3  # vertices
     assert len(closure[1]) == 9  # edges
     assert len(closure[0]) == 7  # regions
@@ -72,16 +70,16 @@ def test_identity_arrangement():
         (AffineLayer(np.eye(2), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.ones(1))),
     )
     state = first_layer_vertices(net)
-    assert list(state.vertices) == [S([0, 0])]
-    v = state.vertices[S([0, 0])]
+    assert list(state.vertices) == [key_of([0, 0])]
+    v = state.vertices[key_of([0, 0])]
     assert np.allclose(v.coords, [0.0, 0.0], atol=1e-12)
-    assert state.regions == {S([1, 1]), S([1, -1]), S([-1, 1]), S([-1, -1])}
+    assert state.regions == {key_of(e) for e in ([1, 1], [1, -1], [-1, 1], [-1, -1])}
 
 
 def test_three_generic_lines():
     net = random_init((2, 3, 1), 0)
     state = first_layer_vertices(net)
-    closure = cube_closure(state.vertices)
+    closure = cube_closure(state.vertices, state.covered)
     assert len(closure[2]) == 3
     assert len(closure[1]) == 9
     assert len(closure[0]) == 7
@@ -116,7 +114,7 @@ def test_first_layer_coords_match_cramer_oracle():
 def test_euler_relation_single_layer():
     for n1, seed in ((3, 1), (4, 2), (5, 3), (8, 4)):
         state = first_layer_vertices(random_init((2, n1, 1), seed))
-        closure = cube_closure(state.vertices)
+        closure = cube_closure(state.vertices, state.covered)
         v = len(closure.get(2, ()))
         e = len(closure.get(1, ()))
         r = len(closure.get(0, ()))
@@ -170,7 +168,7 @@ def brute_force_full_vertices(net, lo=-20.0, hi=20.0, res=400):
             if ok:
                 entries = [0 if t == j else pat[t] for t in range(n1)]
                 keys[tuple(entries) + (0,)] = x
-    return {S(list(k)): v for k, v in keys.items()}
+    return {key_of(k): v for k, v in keys.items()}
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7, 21])
@@ -192,10 +190,10 @@ def test_vertex_invariants(arch, seed):
     net = random_init(arch, seed)
     state = build_complex(net)
     assert state.covered == net.num_node_maps
-    for signs, v in state.vertices.items():
-        assert v.signs == signs
+    for key, v in state.vertices.items():
+        assert v.key == key
         assert len(v.zero_set) == net.n0
-        assert signs.zero_positions() == tuple(sorted(v.zero_set))
+        assert zero_positions(SignSequence(state.covered, key)) == tuple(sorted(v.zero_set))
         assert v.max_residual <= relucx.builder._RESIDUAL_TOL
         assert np.isfinite(v.solve_condition)
     coords = np.array([v.coords for v in state.vertices.values()])
@@ -216,38 +214,44 @@ def test_closure_purity_and_region_incidence(arch, seed):
     for state in states:
         # the regions are the closure's top grade, and each region's incident
         # vertices are exactly the vertices in its closure
-        assert state.regions == cube_closure(state.vertices)[0]
-        verts = list(state.vertices)
+        n = state.covered
+        assert state.regions == cube_closure(state.vertices, n)[0]
+        verts = [SignSequence(n, key) for key in state.vertices]
         for region, members in state.incidence.items():
-            assert [v.signs for v in members] == [
-                v for v in verts if product(v, region) == region
+            seq = SignSequence(n, region)
+            assert [v.key for v in members] == [
+                v.key for v in verts if product(v, seq) == seq
             ]
-    closure = cube_closure(verts)
+    closure = cube_closure(state.vertices, n)
     for zeros, grade in closure.items():
-        for cell in grade:
+        for key in grade:
+            cell = SignSequence(n, key)
             assert cell.n_zeros() == zeros
             assert any(product(v, cell) == cell for v in verts)
 
 
-def reference_region_incidence(vertices):
-    """The incidence over `reference_cube_completions`, one object per completion."""
+def reference_region_incidence(vertices, n):
+    """The incidence over `reference_cube_completions` of the n-entry vertex keys."""
     incidence = {}
     for key, vert in vertices.items():
-        for region in reference_cube_completions(key, values=(-1, 1)):
-            incidence.setdefault(region, []).append(vert)
+        for region in reference_cube_completions(SignSequence(n, key), values=(-1, 1)):
+            incidence.setdefault(region.key, []).append(vert)
     return incidence
 
 
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=40).flatmap(
-    lambda n: st.lists(sparse_zero_sequences(n), min_size=0, max_size=8, unique=True)
+    lambda n: st.tuples(
+        st.just(n), st.lists(sparse_zero_sequences(n), min_size=0, max_size=8, unique=True)
+    )
 ))
-def test_region_incidence_matches_reference(keys):
+def test_region_incidence_matches_reference(case):
+    n, seqs = case
     # any value stands in for a vertex: only identity and order are compared
-    vertices = {key: object() for key in keys}
-    got = _region_incidence(vertices)
-    want = reference_region_incidence(vertices)
-    assert [(r, r.n) for r in got] == [(r, r.n) for r in want]  # same regions, same order
+    vertices = {seq.key: object() for seq in seqs}
+    got = _region_incidence(vertices, n)
+    want = reference_region_incidence(vertices, n)
+    assert list(got) == list(want)  # same regions, same order
     assert all(got[r] == want[r] for r in want)  # same vertices, same order
 
 
@@ -258,33 +262,33 @@ def test_region_incidence_matches_reference_on_builds(arch, seed):
     for k in range(2, net.depth + 2):
         states.append(extend_layer(net, k, states[-1]))
     for state in states:
-        want = reference_region_incidence(state.vertices)
+        want = reference_region_incidence(state.vertices, state.covered)
         assert list(state.incidence) == list(want)
         assert all(state.incidence[r] == want[r] for r in want)
 
 
 @pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1)])
 def test_only_assemble_runs_a_full_closure(monkeypatch, arch):
-    def refuse(vertex_signs):
+    def refuse(*args):
         raise AssertionError("the builder ran a full cube closure")
 
     calls = []
 
-    def counted(vertex_signs):
+    def counted(*args):
         calls.append(1)
-        return cube_closure(vertex_signs)
+        return cube_closure(*args)
 
     monkeypatch.setattr(relucx.builder, "cube_closure", refuse)
     monkeypatch.setattr(relucx.topology, "cube_closure", counted)
     net = random_init(arch, 0)
     build_complex(net)
     assert calls == []
-    _analyze(net, Tolerances())
+    _analyze(net)
     assert len(calls) == 1
 
 
 def test_single_vertex_cube_closure():
-    closure = cube_closure([S([0, 0])])
+    closure = cube_closure([key_of([0, 0])], 2)
     assert {z: len(g) for z, g in closure.items()} == {2: 1, 1: 4, 0: 4}
     assert sum(len(g) for g in closure.values()) == 9
 
@@ -293,9 +297,9 @@ def test_last_layer_incidence_computed_on_first_read(monkeypatch):
     calls = []
     real = relucx.builder._region_incidence
 
-    def counted(vertices):
+    def counted(*args):
         calls.append(1)
-        return real(vertices)
+        return real(*args)
 
     monkeypatch.setattr(relucx.builder, "_region_incidence", counted)
     state = build_complex(random_init((2, 6, 6, 6, 1), 0))
@@ -344,29 +348,28 @@ def test_dead_unit_build_succeeds():
     state = build_complex(dead)
     flat = dead.layer_offset(2)  # the modified unit's node index
     assert state.vertices
-    for signs in state.vertices:
-        assert signs.entry(flat) == 1
+    assert (unpack(list(state.vertices), state.covered)[:, flat] == 1).all()
 
 
 # ---------------------------------------------------------------------------
 # batched vertex search against a per-candidate reference
 
 
-def reference_new_vertices(net, k, state, tol=Tolerances()):
+def reference_new_vertices(net, k, state):
     """Layer-k vertices of `extend_layer`, found one candidate system at a time.
 
     The same candidates in the same order as the batched search, each solved
     by its own np.linalg.solve and checked on the spot.
     """
     n0, base, n_k = net.n0, net.layer_offset(k), net.architecture[k]
-    incidence = _region_incidence(state.vertices)
+    incidence = _region_incidence(state.vertices, base)
     found = {}
     subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
     for region in sorted(state.regions):
-        normals, offsets = region_affine_maps(net, region, k)
+        normals, offsets = region_affine_maps(net, SignSequence(base, region), k)
         old_normals, new_normals = normals[:base], normals[base:]
         old_offsets, new_offsets = offsets[:base], offsets[base:]
-        region_entries = region.entries
+        region_entries = SignSequence(base, region).entries
         sign_arr = np.array(region_entries, dtype=float)
         olds_by_size = {s: set() for s in subset_sizes}
         for vert in incidence[region]:
@@ -394,22 +397,22 @@ def reference_new_vertices(net, k, state, tol=Tolerances()):
                     vals_old = old_normals @ x + old_offsets
                     remaining = np.ones(base, dtype=bool)
                     remaining[list(old_subset)] = False
-                    if np.any(np.abs(vals_old[remaining]) < tol.degeneracy_tol):
+                    if np.any(np.abs(vals_old[remaining]) < relucx.builder._DEGENERACY_TOL):
                         raise DegenerateNetwork("remaining node map near 0")
                     if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
                         continue
                     cond = float(np.linalg.cond(mat))
-                    if not np.isfinite(cond) or cond > tol.cond_max:
+                    if not np.isfinite(cond) or cond > relucx.builder._COND_MAX:
                         raise DegenerateNetwork("accepted system ill-conditioned")
                     vals_new = new_normals @ x + new_offsets
                     entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
                     entries += [
-                        0 if j in new_subset else _strict_sign(vals_new[j], tol, "reference")
+                        0 if j in new_subset else _strict_sign(vals_new[j], "reference")
                         for j in range(n_k)
                     ]
-                    signs = S(entries)
                     zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
-                    _merge_vertex(found, Vertex(x, signs, zero_set, residual, cond))
+                    vert = Vertex(x, key_of(entries), zero_set, residual, cond)
+                    _merge_vertex(found, vert, base + n_k)
     return found
 
 
@@ -439,7 +442,7 @@ def test_batched_search_matches_reference(arch, seed):
     assert_layers_match_reference(random_init(arch, seed))
 
 
-def reference_first_layer_vertices(net, tol=Tolerances()):
+def reference_first_layer_vertices(net):
     """First-layer vertices found one subset at a time, each checked on the spot."""
     weights, bias = net.layers[0].weights, net.layers[0].bias
     n1 = net.architecture[1]
@@ -447,7 +450,7 @@ def reference_first_layer_vertices(net, tol=Tolerances()):
     for alpha in itertools.combinations(range(n1), net.n0):
         sub = weights[list(alpha)]
         cond = float(np.linalg.cond(sub))
-        if not np.isfinite(cond) or cond > tol.cond_max:
+        if not np.isfinite(cond) or cond > relucx.builder._COND_MAX:
             raise DegenerateNetwork(
                 f"first layer: subsystem {alpha} has condition estimate {cond:.3e}"
             )
@@ -461,19 +464,26 @@ def reference_first_layer_vertices(net, tol=Tolerances()):
         entries = [0] * n1
         for j in range(n1):
             if j not in alpha:
-                entries[j] = _strict_sign(vals[j], tol, f"first layer at {alpha}")
-        signs = S(entries)
-        vertices[signs] = Vertex(x, signs, alpha, residual, cond)
+                entries[j] = _strict_sign(vals[j], f"first layer at {alpha}")
+        vertices[key_of(entries)] = Vertex(x, key_of(entries), alpha, residual, cond)
     return vertices
 
 
-# (tolerances, residual bound): each set past the first makes some check fail
+TOLERANCE_NAMES = ("_DEGENERACY_TOL", "_COND_MAX", "_RESIDUAL_TOL")
+DEFAULT_TOLERANCES = tuple(getattr(relucx.builder, name) for name in TOLERANCE_NAMES)
+
+# (degeneracy, condition, residual) bounds: each set past the first makes some check fail
 FIRST_LAYER_TOLERANCES = [
-    (Tolerances(), relucx.builder._RESIDUAL_TOL),
-    (Tolerances(cond_max=3.0), relucx.builder._RESIDUAL_TOL),  # the condition check
-    (Tolerances(), 0.0),  # a subsystem solved with a rounding residual
-    (Tolerances(degeneracy_tol=0.05), relucx.builder._RESIDUAL_TOL),  # a free map near zero
+    DEFAULT_TOLERANCES,
+    (DEFAULT_TOLERANCES[0], 3.0, DEFAULT_TOLERANCES[2]),  # the condition check
+    (*DEFAULT_TOLERANCES[:2], 0.0),  # a subsystem solved with a rounding residual
+    (0.05, *DEFAULT_TOLERANCES[1:]),  # a free map near zero
 ]
+
+
+def set_tolerances(monkeypatch, case):
+    for name, value in zip(TOLERANCE_NAMES, case):
+        monkeypatch.setattr(relucx.builder, name, value)
 
 
 @pytest.mark.parametrize("case", FIRST_LAYER_TOLERANCES, ids=["default", "cond", "residual", "near"])
@@ -481,18 +491,17 @@ FIRST_LAYER_TOLERANCES = [
     "arch", [(2, 16, 1), (2, 40, 1), (3, 6, 6, 1), (4, 8, 8, 1), (5, 8, 1), (6, 7, 1)]
 )
 def test_batched_first_layer_matches_reference(monkeypatch, arch, case):
-    tol, residual_tol = case
-    monkeypatch.setattr(relucx.builder, "_RESIDUAL_TOL", residual_tol)
+    set_tolerances(monkeypatch, case)
     for seed in range(3):
         net = random_init(arch, seed)
         try:
-            want = reference_first_layer_vertices(net, tol)
+            want = reference_first_layer_vertices(net)
         except DegenerateNetwork as exc:
             with pytest.raises(DegenerateNetwork) as got:
-                first_layer_vertices(net, tol)
+                first_layer_vertices(net)
             assert str(got.value) == str(exc)
             continue
-        got = first_layer_vertices(net, tol).vertices
+        got = first_layer_vertices(net).vertices
         assert list(got) == list(want)
         for key, v in want.items():
             g = got[key]
@@ -503,11 +512,11 @@ def test_batched_first_layer_matches_reference(monkeypatch, arch, case):
 def test_batched_first_layer_covers_every_check(monkeypatch):
     # each tolerance set above makes at least one of its nets raise its own check
     messages = []
-    for tol, residual_tol in FIRST_LAYER_TOLERANCES[1:]:
-        monkeypatch.setattr(relucx.builder, "_RESIDUAL_TOL", residual_tol)
+    for case in FIRST_LAYER_TOLERANCES[1:]:
+        set_tolerances(monkeypatch, case)
         for seed in range(3):
             try:
-                reference_first_layer_vertices(random_init((2, 16, 1), seed), tol)
+                reference_first_layer_vertices(random_init((2, 16, 1), seed))
             except DegenerateNetwork as exc:
                 messages.append(str(exc))
     assert any("condition estimate" in m for m in messages)
@@ -649,21 +658,21 @@ def test_extend_layer_contract_errors(hand_net):
 
 
 def test_merge_vertex_duplicate_handling():
-    signs = S([0, 0, 1])
-    a = Vertex(np.array([0.0, 0.0]), signs, (0, 1), 1e-12, 5.0)
-    b = Vertex(np.array([1.0, 1.0]), signs, (0, 1), 1e-12, 5.0)
-    table = {signs: a}
-    with pytest.raises(DuplicateMismatch):
-        _merge_vertex(table, b)
+    key = key_of([0, 0, 1])
+    a = Vertex(np.array([0.0, 0.0]), key, (0, 1), 1e-12, 5.0)
+    b = Vertex(np.array([1.0, 1.0]), key, (0, 1), 1e-12, 5.0)
+    table = {key: a}
+    with pytest.raises(DuplicateMismatch, match=r"^sign sequence \(0,0,1\) held by two"):
+        _merge_vertex(table, b, 3)
     # coincident duplicates keep the better-conditioned discovery, either order
-    c = Vertex(np.array([1e-9, 0.0]), signs, (0, 1), 1e-13, 2.0)
+    c = Vertex(np.array([1e-9, 0.0]), key, (0, 1), 1e-13, 2.0)
     t1 = {}
-    _merge_vertex(t1, a)
-    _merge_vertex(t1, c)
+    _merge_vertex(t1, a, 3)
+    _merge_vertex(t1, c, 3)
     t2 = {}
-    _merge_vertex(t2, c)
-    _merge_vertex(t2, a)
-    assert t1[signs] is c and t2[signs] is c
+    _merge_vertex(t2, c, 3)
+    _merge_vertex(t2, a, 3)
+    assert t1[key] is c and t2[key] is c
 
 
 # ---------------------------------------------------------------------------
@@ -676,18 +685,18 @@ BLOCK_SIZES = (1, 3, DEFAULT_BLOCK)
 def state_fingerprint(state):
     """Everything a layer state holds, in dict and list order, down to the bits."""
     vertices = [
-        (s.key, v.signs.key, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
+        (s, v.key, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
         for s, v in state.vertices.items()
     ]
-    incidence = [(r.key, [v.signs.key for v in vs]) for r, vs in state.incidence.items()]
+    incidence = [(r, [v.key for v in vs]) for r, vs in state.incidence.items()]
     return vertices, incidence
 
 
-def layer_fingerprints(net, tol=Tolerances()):
-    state = first_layer_vertices(net, tol)
+def layer_fingerprints(net):
+    state = first_layer_vertices(net)
     prints = [state_fingerprint(state)]
     for k in range(2, net.depth + 2):
-        state = extend_layer(net, k, state, tol)
+        state = extend_layer(net, k, state)
         prints.append(state_fingerprint(state))
     return prints
 
@@ -735,17 +744,17 @@ def test_ill_conditioned_accepted_system_raises(monkeypatch):
     first = max(v.solve_condition for v in state.vertices.values())
     second = max(v.solve_condition for v in extend_layer(net, 2, state).vertices.values())
     assert first < second
-    tol = Tolerances(cond_max=(first * second) ** 0.5)
-    state = first_layer_vertices(net, tol)
+    monkeypatch.setattr(relucx.builder, "_COND_MAX", (first * second) ** 0.5)
+    state = first_layer_vertices(net)
     outcomes = []
     for block in BLOCK_SIZES:
         monkeypatch.setattr(relucx.builder, "BLOCK_CANDIDATES", block)
-        outcomes.append(degenerate_outcome(lambda: extend_layer(net, 2, state, tol)))
+        outcomes.append(degenerate_outcome(lambda: extend_layer(net, 2, state)))
     message = r"^layer 2, region \([-1,]+\): accepted system has condition estimate "
     assert re.match(message, outcomes[0][1])
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
     with pytest.raises(DegenerateNetwork, match="accepted system ill-conditioned"):
-        reference_new_vertices(net, 2, state, tol)
+        reference_new_vertices(net, 2, state)
 
 
 @pytest.mark.parametrize("block", [3, DEFAULT_BLOCK])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_hand_net
-from relucx import DegenerateNetwork, random_init, write_model
+from relucx import DegenerateNetwork, SignSequence, random_init, write_model
 from relucx.cli import (
     EXIT_BAD_MODEL,
     EXIT_DEGENERATE,
@@ -91,9 +91,18 @@ def test_build_missing_file(tmp_path, capsys):
 
 def test_build_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{ definitely not json")
-    assert main(["build", "--model", str(path), "--out", str(tmp_path)]) == EXIT_BAD_MODEL
-    assert "invalid JSON" in capsys.readouterr().err
+    for body in (
+        b"{ definitely not json",
+        b'{"architecture": [2, 1, 1], "layers": "\xff"}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the parser recurses
+    ):
+        path.write_bytes(body)
+        assert main(["build", "--model", str(path), "--out", str(tmp_path)]) == EXIT_BAD_MODEL
+        assert main(["oracle-check", "--model", str(path)]) == EXIT_BAD_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and all(l.startswith("error: invalid JSON in ") for l in lines)
 
 
 def test_build_bad_field_named(tmp_path, capsys):
@@ -310,10 +319,10 @@ def test_experiment_redraws_on_degeneracy(monkeypatch):
     poison = random_init((2, 3, 1), 50 + 1)  # the net trial 1 draws first
     real_build = cli.build_complex
 
-    def fake_build(net, tol):
+    def fake_build(net):
         if np.array_equal(net.layers[0].weights, poison.layers[0].weights):
             raise DegenerateNetwork("injected")
-        return real_build(net, tol)
+        return real_build(net)
 
     monkeypatch.setattr(cli, "build_complex", fake_build)
     config = ExperimentConfig((2, 3, 1), trials=3, seed=50)
@@ -505,10 +514,10 @@ def test_child_degenerate_trial_exits_as_serial(tmp_path, capsys, cpus, monkeypa
     }
     real_build = relucx.cli.build_complex
 
-    def fake_build(net, tol):
+    def fake_build(net):
         if net.layers[0].weights.tobytes() in poison:
             raise DegenerateNetwork("injected")
-        return real_build(net, tol)
+        return real_build(net)
 
     monkeypatch.setattr(relucx.cli, "build_complex", fake_build)
     serial, forked = run_both(
@@ -529,10 +538,10 @@ def test_child_unsupported_architecture_exits_as_serial(tmp_path, capsys, cpus, 
     cpus(3)
     real_trial = relucx.cli._run_trial
 
-    def run_trial(arch, base_seed, trial, tol):
+    def run_trial(arch, base_seed, trial):
         if trial < 2:
             arch = (2,) + arch[1:]
-        return real_trial(arch, base_seed, trial, tol)
+        return real_trial(arch, base_seed, trial)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
     serial, forked = run_both(
@@ -548,10 +557,10 @@ def test_child_exception_reaches_caller(cpus, monkeypatch):
     cpus(2)
     real_trial = relucx.cli._run_trial
 
-    def run_trial(arch, base_seed, trial, tol):
+    def run_trial(arch, base_seed, trial):
         if trial == 3:
             raise ZeroDivisionError("injected in trial 3")
-        return real_trial(arch, base_seed, trial, tol)
+        return real_trial(arch, base_seed, trial)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
     config = ExperimentConfig((2, 3, 1), trials=4, seed=0)
@@ -567,7 +576,7 @@ def test_child_exception_that_cannot_be_pickled(tmp_path, capsys, cpus, monkeypa
     class LocalError(Exception):
         pass
 
-    def run_trial(arch, base_seed, trial, tol):
+    def run_trial(arch, base_seed, trial):
         raise LocalError(f"trial {trial}")
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
@@ -591,10 +600,10 @@ def test_child_dying_without_result(tmp_path, capsys, cpus, monkeypatch, die, ho
     parent = os.getpid()
     real_trial = relucx.cli._run_trial
 
-    def run_trial(arch, base_seed, trial, tol):
+    def run_trial(arch, base_seed, trial):
         if os.getpid() != parent:
             die()
-        return real_trial(arch, base_seed, trial, tol)
+        return real_trial(arch, base_seed, trial)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
     assert main(experiment_argv(tmp_path, 2)) == EXIT_BAD_MODEL
@@ -610,12 +619,12 @@ def test_parent_failure_stops_children(cpus, monkeypatch):
     parent = os.getpid()
     real_trial = relucx.cli._run_trial
 
-    def run_trial(arch, base_seed, trial, tol):
+    def run_trial(arch, base_seed, trial):
         if os.getpid() != parent:
             time.sleep(30)  # a child far slower than this process's span
         if trial == 1:
             raise DegenerateNetwork("trial 1: injected")
-        return real_trial(arch, base_seed, trial, tol)
+        return real_trial(arch, base_seed, trial)
 
     monkeypatch.setattr(relucx.cli, "_run_trial", run_trial)
     config = ExperimentConfig((2, 3, 1), trials=4, seed=0)
@@ -644,8 +653,8 @@ def test_oracle_check_hand_model(hand_model, capsys):
 def test_oracle_check_fault_injection(hand_model, capsys, monkeypatch):
     real_build = relucx.cli.build_complex
 
-    def build_missing_one_region(net, tol):
-        state = real_build(net, tol)
+    def build_missing_one_region(net):
+        state = real_build(net)
         dropped = max(state.regions)
         state.incidence = {r: vs for r, vs in state.incidence.items() if r != dropped}
         return state
@@ -676,7 +685,7 @@ def test_oracle_check_grid_too_large(tmp_path, capsys, monkeypatch):
     path = tmp_path / "wide.json"
     write_model(random_init((8, 8, 1), 0), str(path))
 
-    def refuse(net, tol):
+    def refuse(net):
         raise AssertionError("oracle-check built the complex of an unsampleable grid")
 
     monkeypatch.setattr(relucx.cli, "build_complex", refuse)
@@ -710,9 +719,31 @@ def test_oracle_check_rejects_bad_grid(hand_model, capsys, flags):
     assert captured.out == "" and "error: argument" in captured.err
 
 
-def test_tolerance_flags_forwarded(hand_model, tmp_path):
-    # an absurd cond_max makes every solve look degenerate
-    code = main(
-        ["build", "--model", hand_model, "--out", str(tmp_path), "--cond-max", "0.5"]
-    )
-    assert code == EXIT_DEGENERATE
+def test_tolerance_flags_rejected(tmp_path, capsys):
+    # the tolerances are fixed; flags that once set them (and switched the
+    # checks off with nan) are refused before anything runs
+    out = tmp_path / "exp"
+    argv = ["experiment", "--arch", "2,3,1", "--trials", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--deg-tol", "nan", "--cond-max", "nan"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+def test_analysis_makes_no_sign_sequence(monkeypatch):
+    # sign sequences stay packed keys from the solves to the Betti numbers
+    made = []
+    real_init = SignSequence.__init__
+
+    def counted(self, n, key):
+        made.append(key)
+        real_init(self, n, key)
+
+    monkeypatch.setattr(SignSequence, "__init__", counted)
+    _, cx, _, report = relucx.cli._analyze(random_init((2, 8, 8, 1), 0))
+    assert len(cx.cells) > 400 and report.betti
+    assert made == []
+    SignSequence.from_entries([1, 0])  # the count does see a construction
+    assert len(made) == 1

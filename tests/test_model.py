@@ -158,7 +158,7 @@ def test_stacked_maps_match_per_region_reference(arch):
     assert np.array_equal(normals[0], ref[0]) and np.array_equal(offsets[0], ref[1])
     state = first_layer_vertices(net)
     for k in range(2, net.depth + 2):
-        regions = sorted(state.regions)
+        regions = [SignSequence(state.covered, key) for key in sorted(state.regions)]
         active = np.array([r.entries for r in regions]) > 0
         normals, offsets = stacked_region_affine_maps(net, active, k)
         assert normals.shape == (len(regions), net.layer_offset(k + 1), net.n0)

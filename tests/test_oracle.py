@@ -16,9 +16,7 @@ from relucx import (
 )
 from relucx.model import node_map_value_matrix
 from relucx.oracle import CHUNK_POINTS
-from relucx.signs import SignSequence
-
-S = SignSequence.from_entries
+from conftest import key_of
 
 
 def reference_sample_region_signs(net, grid, exclusion_tol=1e-6):
@@ -29,7 +27,7 @@ def reference_sample_region_signs(net, grid, exclusion_tol=1e-6):
     keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
     signs = np.where(vals[keep] > 0, 1, -1).astype(np.int8)
     unique = np.unique(signs, axis=0) if signs.size else signs
-    return {S(row.tolist()) for row in unique}
+    return {key_of(row.tolist()) for row in unique}
 
 
 def test_sample_grid_validation():
@@ -71,13 +69,13 @@ def test_hand_example_sampled_regions(hand_net):
     grid = SampleGrid.square(-3.0, 3.0, 2, 200)
     sampled = sample_region_signs(hand_net, grid)
     expect = {
-        S([1, 1, 1]),
-        S([1, 1, -1]),
-        S([1, -1, 1]),
-        S([1, -1, -1]),
-        S([-1, 1, 1]),
-        S([-1, 1, -1]),
-        S([-1, -1, -1]),  # relu(x)+relu(y) = 0 < 1 on the whole third quadrant
+        key_of([1, 1, 1]),
+        key_of([1, 1, -1]),
+        key_of([1, -1, 1]),
+        key_of([1, -1, -1]),
+        key_of([-1, 1, 1]),
+        key_of([-1, 1, -1]),
+        key_of([-1, -1, -1]),  # relu(x)+relu(y) = 0 < 1 on the whole third quadrant
     }
     assert sampled == expect
 
@@ -101,7 +99,7 @@ def test_sampling_is_subset_of_built_regions(arch, seed):
         ((2, 5, 1), 1000, 20.0, 300),  # criterion 3 architectures and box
         ((2, 5, 5, 1), 2000, 20.0, 300),
         ((3, 4, 4, 1), 7, 15.0, 48),
-        ((2, 40, 30, 1), 0, 15.0, 260),  # 71 node maps: two packed words per row
+        ((2, 40, 30, 1), 0, 15.0, 260),  # 71 node maps: keys beyond int64
         ((2, 8, 8, 1), 0, 7.5e307, 64),  # node values overflow to +-inf and NaN
     ],
 )
@@ -150,12 +148,11 @@ def test_perturb_check_accepts_built_vertices(hand_net):
 
 def test_perturb_check_rejects_fakes(hand_net):
     state = build_complex(hand_net)
-    v = state.vertices[S([0, 1, 0])]
-    off = Vertex(v.coords + np.array([0.3, 0.3]), v.signs, v.zero_set, 0.0, 1.0)
+    v = state.vertices[key_of([0, 1, 0])]
+    off = Vertex(v.coords + np.array([0.3, 0.3]), v.key, v.zero_set, 0.0, 1.0)
     assert not perturb_check(hand_net, off, epsilon=1e-3)
     # claiming a crossing where the map is locally constant-sign also fails
-    lying_signs = S([0, 0, 0])
-    fake = Vertex(v.coords, lying_signs, (0, 1, 2), 0.0, 1.0)
+    fake = Vertex(v.coords, key_of([0, 0, 0]), (0, 1, 2), 0.0, 1.0)
     assert not perturb_check(hand_net, fake, epsilon=1e-3)
 
 

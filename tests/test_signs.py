@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from conftest import concat, entry, from_text, replace, zero_positions
 from relucx import SignSequence, product
-from relucx.signs import completion_keys, cube_closure
+from relucx.signs import completion_keys, cube_closure, pack, text, unpack
 
 S = SignSequence.from_entries
 
@@ -19,26 +22,26 @@ def naive_product(a: SignSequence, b: SignSequence) -> SignSequence:
 
 def reference_cube_completions(a: SignSequence, values=(-1, 0, 1)):
     """The per-zero `replace` chain that the packed-key completions replaced."""
-    zeros = a.zero_positions()
+    zeros = zero_positions(a)
     for combo in itertools.product(values, repeat=len(zeros)):
         s = a
         for p, v in zip(zeros, combo):
-            s = s.replace(p, v)
+            s = replace(s, p, v)
         yield s
 
 
-def reference_cube_closure(vertex_signs) -> dict[int, set[SignSequence]]:
-    """The closure over `reference_cube_completions`, one object per completion."""
-    graded: dict[int, set[SignSequence]] = {}
+def reference_cube_closure(vertex_signs) -> dict[int, set[int]]:
+    """The keys of the closure over `reference_cube_completions`, graded by zero count."""
+    graded: dict[int, set[int]] = {}
     for v in vertex_signs:
         for cell in reference_cube_completions(v):
-            graded.setdefault(cell.n_zeros(), set()).add(cell)
+            graded.setdefault(cell.n_zeros(), set()).add(cell.key)
     return graded
 
 
 def cube_completions(a: SignSequence, values=(-1, 0, 1)) -> list[SignSequence]:
     """The packed-key completions of a, each wrapped as a sequence."""
-    return [SignSequence(a.n, key) for key in completion_keys(a, values, {})]
+    return [SignSequence(a.n, key) for key in completion_keys(a.key, a.n, values, {})]
 
 
 def all_sequences(n: int) -> list[SignSequence]:
@@ -115,31 +118,31 @@ def test_text_round_trip():
     for e in ([1, 1, -1, 0], [0], [-1, -1], [1, 0, 1, 0, -1]):
         seq = S(e)
         assert seq.text() == "(" + ",".join(str(x) for x in e) + ")"
-        assert SignSequence.from_text(seq.text()) == seq
-    assert SignSequence.from_text(" ( 1 , -1 , 0 ) ") == S([1, -1, 0])
+        assert from_text(seq.text()) == seq
+    assert from_text(" ( 1 , -1 , 0 ) ") == S([1, -1, 0])
 
 
 def test_from_text_rejects_bad_input():
     with pytest.raises(ValueError):
-        SignSequence.from_text("1,0,1")
+        from_text("1,0,1")
     with pytest.raises(ValueError):
-        SignSequence.from_text("(2,0)")
+        from_text("(2,0)")
 
 
 def test_entries_accessors():
     a = S([1, 0, -1, 0])
     assert a.entries == (1, 0, -1, 0)
-    assert [a.entry(i) for i in range(4)] == [1, 0, -1, 0]
-    assert a.zero_positions() == (1, 3)
+    assert [entry(a, i) for i in range(4)] == [1, 0, -1, 0]
+    assert zero_positions(a) == (1, 3)
     assert a.n_zeros() == 2
     assert len(a) == 4
     assert list(a.entries) == [1, 0, -1, 0]
-    assert a.replace(1, 1) == S([1, 1, -1, 0])
-    assert a.concat([0, 1]) == S([1, 0, -1, 0, 0, 1])
+    assert replace(a, 1, 1) == S([1, 1, -1, 0])
+    assert concat(a, [0, 1]) == S([1, 0, -1, 0, 0, 1])
     with pytest.raises(IndexError):
-        a.entry(4)
+        entry(a, 4)
     with pytest.raises(ValueError):
-        a.replace(0, 2)
+        replace(a, 0, 2)
     with pytest.raises(ValueError):
         S([1, 2, 0])
 
@@ -188,14 +191,16 @@ def test_completions_match_reference_in_order(seq, values):
 @example([S([0] * 4), S([1, 0, -1, 0])])
 @example([S([0] + [1] * 39), S([-1] * 38 + [0, 0])])
 def test_closure_matches_reference(verts):
-    got, want = cube_closure(verts), reference_cube_closure(verts)
+    n = verts[0].n if verts else 0
+    got, want = cube_closure([v.key for v in verts], n), reference_cube_closure(verts)
     assert list(got) == list(want)  # grades in the same order
     assert got == want
 
 
 def test_closure_rejects_mixed_lengths():
-    with pytest.raises(ValueError, match="different lengths"):
-        cube_closure([S([0, 1]), S([0, 1, 1])])
+    # keys carry no length: a 3-entry key among 2-entry ones is too wide
+    with pytest.raises(ValueError, match="more than 2 entries"):
+        cube_closure([S([0, 1]).key, S([0, 1, 1]).key], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +241,9 @@ def test_product_matches_naive(triple):
 @given(seq_triples())
 def test_absorption_characterizes_faces(triple):
     a, b, _ = triple
-    za, zb = set(a.zero_positions()), set(b.zero_positions())
+    za, zb = set(zero_positions(a)), set(zero_positions(b))
     agree_off_za = all(
-        a.entry(i) == b.entry(i) for i in range(a.n) if i not in za
+        entry(a, i) == entry(b, i) for i in range(a.n) if i not in za
     )
     assert (product(a, b) == b) == (zb <= za and agree_off_za)
 
@@ -254,12 +259,13 @@ def test_commutativity_iff_no_opposition(triple):
 @settings(max_examples=200)
 @given(vertex_sets())
 def test_cube_closure_is_closed_under_resolving_zeros(verts):
-    closure = cube_closure(verts)
-    cells = set().union(*closure.values())
+    n = verts[0].n
+    closure = cube_closure([v.key for v in verts], n)
+    cells = {SignSequence(n, key) for grade in closure.values() for key in grade}
     for cell in cells:
-        for p in cell.zero_positions():
-            assert cell.replace(p, 1) in cells
-            assert cell.replace(p, -1) in cells
+        for p in zero_positions(cell):
+            assert replace(cell, p, 1) in cells
+            assert replace(cell, p, -1) in cells
 
 
 @given(sign_entries)
@@ -271,8 +277,8 @@ def test_n_zeros_counts_zeros(entries):
 @given(seq_triples())
 def test_product_zeros_are_common_zeros(triple):
     a, b, _ = triple
-    expected = set(a.zero_positions()) & set(b.zero_positions())
-    assert set(product(a, b).zero_positions()) == expected
+    expected = set(zero_positions(a)) & set(zero_positions(b))
+    assert set(zero_positions(product(a, b))) == expected
 
 
 @settings(max_examples=300)
@@ -283,3 +289,25 @@ def test_face_relation_is_partial_order(triple):
         assert a == b
     if product(a, b) == b and product(b, c) == c:
         assert product(a, c) == c
+
+
+# ---------------------------------------------------------------------------
+# the packed format: pack, unpack and text against the sequence type
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from((1, 31, 32, 33, 100)).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_pack_unpack_text_round_trip(rows):
+    n = len(rows[0])
+    seqs = [S(row) for row in rows]
+    keys = pack(np.array(rows)).tolist()
+    assert keys == [seq.key for seq in seqs]
+    assert all(type(k) is int for k in keys)
+    assert unpack(keys, n).tolist() == rows
+    assert [text(k, n) for k in keys] == [seq.text() for seq in seqs]

@@ -24,8 +24,12 @@ from relucx import (
     random_init,
     render_db_svg,
 )
+from conftest import entry, key_of, replace
+from relucx.signs import SignSequence, n_zeros
 
-S = __import__("relucx").SignSequence.from_entries
+
+def assemble_state(state):
+    return assemble(state.vertices, state.covered)
 
 
 def rank_oracle(columns, nrows):
@@ -57,19 +61,19 @@ def rank_oracle(columns, nrows):
 
 def test_assemble_hand_example(hand_net):
     state = build_complex(hand_net)
-    cx = assemble(state.vertices)
+    cx = assemble_state(state)
     assert cx.n0 == 2
     assert cx.dim_counts() == (3, 9, 7)
     assert len(cx.cells) == 19
-    # ids are dimension-major and follow the canonical order within each grade
-    flat = [seq for grade in cx.grading for seq in grade]
-    assert [cx.cells[s] for s in flat] == list(range(19))
+    # boundary rows count through the grades in order, each grade ascending
+    flat = [key for grade in cx.grading for key in grade]
+    assert len(flat) == 19 and set(flat) == cx.cells
     for grade in cx.grading:
         assert list(grade) == sorted(grade)
 
 
 def test_assemble_single_vertex():
-    cx = assemble([S([0, 0, 1, -1])])
+    cx = assemble([key_of([0, 0, 1, -1])], 4)
     assert cx.n0 == 2
     assert cx.dim_counts() == (1, 4, 4)
     assert len(cx.cells) == 9
@@ -77,28 +81,29 @@ def test_assemble_single_vertex():
 
 def test_assemble_rejects_mixed_or_empty_input():
     with pytest.raises(ValueError):
-        assemble([])
-    with pytest.raises(ValueError):
-        assemble([S([0, 0, 1]), S([0, 1, 1])])
+        assemble([], 3)
+    with pytest.raises(ValueError, match=r"^vertex \(0,1,1\) has 1 zeros, expected 2"):
+        assemble([key_of([0, 0, 1]), key_of([0, 1, 1])], 3)
 
 
 def test_grading_duality(hand_net):
     state = build_complex(hand_net)
-    cx = assemble(state.vertices)
+    cx = assemble_state(state)
     for dim, grade in enumerate(cx.grading):
-        assert all(cx.n0 - seq.n_zeros() == dim for seq in grade)
+        assert all(cx.n0 - n_zeros(key, cx.n) == dim for key in grade)
     by_zeros = {}
-    for seq in cx.cells:
-        by_zeros[seq.n_zeros()] = by_zeros.get(seq.n_zeros(), 0) + 1
+    for key in cx.cells:
+        by_zeros[n_zeros(key, cx.n)] = by_zeros.get(n_zeros(key, cx.n), 0) + 1
     assert by_zeros == {2: 3, 1: 9, 0: 7}
 
 
 def test_assemble_rejects_missed_vertex_by_euler_characteristic():
     # without its first vertex the closure stays closed, but one cell short
-    verts = sorted(build_complex(random_init((2, 5, 1), 5)).vertices)
-    assert assemble(verts).dim_counts() == (10, 25, 16)
+    state = build_complex(random_init((2, 5, 1), 5))
+    verts = sorted(state.vertices)
+    assert assemble(verts, state.covered).dim_counts() == (10, 25, 16)
     with pytest.raises(ClosureViolation, match="Euler characteristic 0"):
-        assemble(verts[1:])
+        assemble(verts[1:], state.covered)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ def test_assemble_rejects_missed_vertex_by_euler_characteristic():
 
 def test_three_line_arrangement_boundary():
     state = first_layer_vertices(random_init((2, 3, 1), 0))
-    cx = assemble(state.vertices)
+    cx = assemble_state(state)
     assert cx.dim_counts() == (3, 9, 7)
     chain = boundary_matrices(cx)
     weights = sorted(col.bit_count() for col in chain.boundaries[0])
@@ -120,7 +125,7 @@ def test_three_line_arrangement_boundary():
 @pytest.mark.parametrize("arch,seed", [((2, 5, 1), 0), ((2, 4, 4, 1), 6), ((3, 5, 1), 3)])
 def test_dd_zero_on_built_complexes(arch, seed):
     state = build_complex(random_init(arch, seed))
-    cx = assemble(state.vertices)
+    cx = assemble_state(state)
     chain = boundary_matrices(cx)
     for k in range(1, len(chain.boundaries)):
         lower = chain.boundaries[k - 1]
@@ -136,7 +141,7 @@ def test_dd_zero_on_built_complexes(arch, seed):
 
 @pytest.mark.parametrize("arch,seed", [((2, 5, 1), 0), ((2, 4, 4, 1), 6)])
 def test_edges_have_at_most_two_vertex_facets(arch, seed):
-    cx = assemble(build_complex(random_init(arch, seed)).vertices)
+    cx = assemble_state(build_complex(random_init(arch, seed)))
     chain = boundary_matrices(cx)
     counts = [col.bit_count() for col in chain.boundaries[0]]
     assert all(c <= 2 for c in counts)
@@ -145,12 +150,12 @@ def test_edges_have_at_most_two_vertex_facets(arch, seed):
 
 
 def test_commuting_products_land_in_complex():
-    cx = assemble(build_complex(random_init((2, 4, 1), 1)).vertices)
-    cells = list(cx.cells)
+    cx = assemble_state(build_complex(random_init((2, 4, 1), 1)))
+    cells = [SignSequence(cx.n, key) for key in cx.cells]
     for a, b in itertools.combinations(cells, 2):
         ab = product(a, b)
         if ab == product(b, a):
-            assert ab in cx.cells
+            assert ab.key in cx.cells
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +183,22 @@ def test_gf2_rank_matches_elimination_oracle():
 
 
 def test_decision_boundary_hand_example(hand_net):
-    cx = assemble(build_complex(hand_net).vertices)
+    cx = assemble_state(build_complex(hand_net))
     db = decision_boundary(cx)
     assert db.dim_counts() == (2, 3, 0)
-    assert set(db.grading[0]) == {S([0, 1, 0]), S([1, 0, 0])}
-    assert set(db.grading[1]) == {S([1, 1, 0]), S([-1, 1, 0]), S([1, -1, 0])}
+    assert set(db.grading[0]) == {key_of([0, 1, 0]), key_of([1, 0, 0])}
+    assert set(db.grading[1]) == {key_of([1, 1, 0]), key_of([-1, 1, 0]), key_of([1, -1, 0])}
     # faces of boundary cells stay in the boundary
-    for seq in db.cells:
+    for seq in (SignSequence(db.n, key) for key in db.cells):
         for p in range(seq.n):
-            if seq.entry(p) != 0:
-                facet = seq.replace(p, 0)
+            if entry(seq, p) != 0:
+                facet = replace(seq, p, 0).key
                 if facet in cx.cells:
                     assert facet in db.cells
 
 
 def test_compactify_hand_example(hand_net):
-    cx = assemble(build_complex(hand_net).vertices)
+    cx = assemble_state(build_complex(hand_net))
     db = decision_boundary(cx)
     chain = compactify(db)
     assert chain.dims == (3, 3)  # two vertices + infinity; segment + two rays
@@ -207,7 +212,7 @@ def test_compactify_hand_example(hand_net):
 
 
 def test_compactify_rejects_top_cells(hand_net):
-    cx = assemble(build_complex(hand_net).vertices)
+    cx = assemble_state(build_complex(hand_net))
     with pytest.raises(ValueError):
         compactify(cx)
 
@@ -221,7 +226,7 @@ def test_empty_decision_boundary():
             AffineLayer(np.array([[0.01, 0.01]]), np.array([10.0])),
         ),
     )
-    db = decision_boundary(assemble(build_complex(net).vertices))
+    db = decision_boundary(assemble_state(build_complex(net)))
     assert db.dim_counts() == (0, 0, 0)
     report = betti_gf2(compactify(db))
     assert report.betti == (1, 0)
@@ -230,8 +235,7 @@ def test_empty_decision_boundary():
 
 
 def test_single_full_line_compactifies_to_circle():
-    seq = S([1, 0])
-    db = CubicalComplex(2, {seq: 0}, ((), (seq,), ()))
+    db = CubicalComplex(2, 2, ((), (key_of([1, 0]),), ()))
     chain = compactify(db)
     assert chain.dims == (1, 1)
     assert chain.boundaries[0] == (0,)  # both ends at infinity cancel mod 2
@@ -268,7 +272,7 @@ def test_boundary_inconsistent_detected():
 
 def test_render_db_svg_hand_example(hand_net, tmp_path):
     state = build_complex(hand_net)
-    db = decision_boundary(assemble(state.vertices))
+    db = decision_boundary(assemble_state(state))
     coords = {s: v.coords for s, v in state.vertices.items()}
     out = tmp_path / "db.svg"
     render_db_svg(hand_net, coords, db, (-3.0, 3.0), str(out))
@@ -291,6 +295,6 @@ def test_render_db_svg_hand_example(hand_net, tmp_path):
 def test_render_db_svg_requires_plane(tmp_path):
     net = random_init((3, 4, 1), 0)
     state = build_complex(net)
-    db = decision_boundary(assemble(state.vertices))
+    db = decision_boundary(assemble_state(state))
     with pytest.raises(ValueError):
         render_db_svg(net, {}, db, (-3.0, 3.0), str(tmp_path / "x.svg"))
