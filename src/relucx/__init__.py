@@ -1,6 +1,6 @@
 """Exact cell structure and decision-boundary topology of ReLU networks."""
 
-from .signs import SignSequence, cube_closure, product
+from .signs import cube_closure, product
 from .model import (
     AffineLayer,
     ModelFormatError,

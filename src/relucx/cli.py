@@ -8,8 +8,9 @@ trial order, so `stats.csv` is the same for every K.
 Exit codes: 0 success, 1 unreadable or malformed model file, bad
 `experiment` input, an unwritable `--out`, an `experiment` trial process
 that ended without sending its result, or an `oracle-check` grid too large
-to index, 2 degenerate network, 3 unsupported architecture, 4 oracle
-violation.  Invalid flag values rejected by the argument parser exit 2.
+to index, 2 degenerate network, or a build whose vertices or cells fail
+their consistency checks, 3 unsupported architecture, 4 oracle violation.
+Invalid flag values rejected by the argument parser exit 2.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .builder import ArchitectureUnsupported, DegenerateNetwork, build_complex
+from .builder import ArchitectureUnsupported, DegenerateNetwork, DuplicateMismatch, build_complex
 from .model import (
     ModelFormatError,
     ReluNetwork,
@@ -38,7 +37,8 @@ from .model import (
 )
 from .oracle import SampleGrid, sample_region_signs
 from .signs import n_zeros, text
-from .topology import assemble, betti_gf2, compactify, decision_boundary, render_db_svg
+from .topology import ClosureViolation, assemble, betti_gf2, compactify, decision_boundary
+from .topology import render_db_svg
 
 __all__ = [
     "ExperimentConfig",
@@ -56,6 +56,14 @@ EXIT_BAD_MODEL = 1
 EXIT_DEGENERATE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_ORACLE_VIOLATION = 4
+
+# Failures that a network's numbers cause, by the "error" name exit 2 prints.
+# Only a degenerate draw is redrawn in `experiment`.
+_NUMERIC_ERRORS = {
+    DegenerateNetwork: "degenerate_network",
+    DuplicateMismatch: "duplicate_mismatch",
+    ClosureViolation: "closure_violation",
+}
 
 _REDRAW_STRIDE = 1_000_000_007
 _MAX_REDRAWS = 64
@@ -202,8 +210,6 @@ def _run_trials(config: ExperimentConfig, workers: int) -> list:
     """
     arch, seed = config.architecture, config.seed
     spans = _trial_spans(config.trials, _worker_count(workers, config.trials))
-    if len(spans) == 1:
-        return [_run_trial(arch, seed, t) for t in spans[0]]
     # a child ends with os._exit, so nothing buffered here is written twice
     sys.stdout.flush()
     sys.stderr.flush()
@@ -489,8 +495,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateNetwork as exc:
-        print(json.dumps({"error": "degenerate_network", "detail": str(exc)}))
+    except tuple(_NUMERIC_ERRORS) as exc:
+        print(json.dumps({"error": _NUMERIC_ERRORS[type(exc)], "detail": str(exc)}))
         return EXIT_DEGENERATE
     except ArchitectureUnsupported as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .signs import SignSequence
-
 __all__ = [
     "AffineLayer",
     "ReluNetwork",
@@ -119,13 +117,13 @@ def node_map_values(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def region_affine_maps(
-    net: ReluNetwork, region_signs: SignSequence, upto_layer: int
+    net: ReluNetwork, region_signs: Sequence[int], upto_layer: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Affine maps of all node maps of layers 1..upto_layer on one region.
 
-    `region_signs` fixes the activation pattern: it must cover the node maps of
-    layers strictly below `upto_layer` with no zero entries.  On the closed
-    region selected by those signs, every node map of layers <= upto_layer
+    `region_signs` fixes the activation pattern: one entry -1 or +1 for each
+    node map of the layers strictly below `upto_layer`.  On the closed region
+    selected by those signs, every node map of layers <= upto_layer
     restricts to an affine function x -> normal @ x + offset of the input.
     Returns `(normals, offsets)` of shapes (m, n_0) and (m,), rows in flat node
     order, where m = n_1 + ... + n_upto_layer.
@@ -133,14 +131,12 @@ def region_affine_maps(
     if not 1 <= upto_layer <= net.depth + 1:
         raise ValueError(f"upto_layer must be in 1..{net.depth + 1}, got {upto_layer}")
     prefix_len = net.layer_offset(upto_layer)
-    if region_signs.n != prefix_len:
-        raise ValueError(
-            f"region signs cover {region_signs.n} node maps, expected {prefix_len}"
-        )
-    if region_signs.n_zeros():
-        raise ValueError("region signs must have no zero entries")
-    active = np.array(region_signs.entries) > 0
-    normals, offsets = stacked_region_affine_maps(net, active[None], upto_layer)
+    signs = np.asarray(region_signs)
+    if signs.shape != (prefix_len,):
+        raise ValueError(f"region signs cover {signs.size} node maps, expected {prefix_len}")
+    if not np.isin(signs, (-1, 1)).all():
+        raise ValueError("region signs must be -1 or +1")
+    normals, offsets = stacked_region_affine_maps(net, signs[None] > 0, upto_layer)
     return normals[0], offsets[0]
 
 

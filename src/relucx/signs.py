@@ -13,9 +13,7 @@ arrays of entries and the textual form "(1,0,-1)"; they hold for any n.
 On keys, a completion (the key with its zero fields cleared, OR a pattern of
 codes) and a facet (one field set to 0b01) are single integer operations;
 the builder's region incidence and the cube closure that the topology layer
-reads its cells from run on them.  `SignSequence` pairs a key with its length
-as a value type for the face product (a is a face of b exactly when
-product(a, b) == b).
+reads its cells from run on them, as does the face `product`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "SignSequence",
     "cube_closure",
     "pack",
     "product",
@@ -85,70 +82,16 @@ def text(key: int, n: int) -> str:
     return "(" + ",".join([_ENTRY_TEXT[key >> s & 3] for s in range(2 * n - 2, -1, -2)]) + ")"
 
 
-class SignSequence:
-    """Immutable sequence over {-1, 0, +1}: a key and its length n."""
-
-    __slots__ = ("n", "key")
-
-    def __init__(self, n: int, key: int):
-        self.n = n
-        self.key = key
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[int]) -> "SignSequence":
-        key = 0
-        n = 0
-        for e in entries:
-            if e not in (-1, 0, 1):
-                raise ValueError(f"sign entry must be -1, 0 or +1, got {e!r}")
-            key = (key << 2) | (e + 1)
-            n += 1
-        return cls(n, key)
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(unpack([self.key], self.n)[0].tolist())
-
-    def n_zeros(self) -> int:
-        return n_zeros(self.key, self.n)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignSequence)
-            and self.n == other.n
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.key))
-
-    def __lt__(self, other: "SignSequence") -> bool:
-        return (self.n, self.key) < (other.n, other.key)
-
-    def text(self) -> str:
-        return text(self.key, self.n)
-
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"SignSequence{self.text()}"
-
-
-def product(a: SignSequence, b: SignSequence) -> SignSequence:
-    """Face product: keep a's entry where nonzero, fall through to b's at a's zeros.
+def product(a: int, b: int) -> int:
+    """Face product of two keys of one length: a's entry where nonzero, b's at a's zeros.
 
     Associative and idempotent; commutative exactly when no coordinate carries
-    strictly opposite nonzero signs in a and b.
+    strictly opposite nonzero signs in a and b.  The cell of a is a face of
+    the cell of b exactly when product(a, b) == b.
     """
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    zf = _zero_bits(a.key, a.n)
+    zf = _zero_bits(a, a.bit_length())  # a's leading -1 fields are 0b00
     zf |= zf << 1  # widen to full two-bit fields
-    return SignSequence(a.n, (a.key & ~zf) | (b.key & zf))
+    return a & ~zf | b & zf
 
 
 def facet_keys(key: int, n: int) -> Iterator[int]:

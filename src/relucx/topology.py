@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import ReluNetwork, node_map_values, region_affine_maps
-from .signs import SignSequence, cube_closure, facet_keys, n_zeros, text, unpack
+from .signs import cube_closure, facet_keys, n_zeros, text, unpack
 
 __all__ = [
     "CubicalComplex",
@@ -264,8 +264,7 @@ def render_db_svg(
     segments = []
     for key in db.grading[1]:
         entries = unpack([key], db.n)[0]
-        prefix = SignSequence.from_entries(entries[:-1].tolist())
-        normals, offsets = region_affine_maps(net, prefix, net.depth + 1)
+        normals, offsets = region_affine_maps(net, entries[:-1], net.depth + 1)
         normal, offset = normals[-1], offsets[-1]
         norm = float(np.linalg.norm(normal))
         if norm == 0.0:

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from relucx import AffineLayer, ReluNetwork, SignSequence
-
-S = SignSequence.from_entries
+from relucx import AffineLayer, ReluNetwork
+from relucx.signs import unpack
 
 # Results registered by tests/test_acceptance.py: list of (number, ok, detail).
 ACCEPTANCE_RESULTS: list[tuple[int, bool, str]] = []
@@ -44,38 +43,46 @@ def hand_net() -> ReluNetwork:
 
 
 def key_of(entries) -> int:
-    """Packed key of a sequence of entries."""
-    return S(entries).key
+    """Packed key of a sequence of entries in {-1, 0, +1}, built one field at a time."""
+    key = 0
+    for e in entries:
+        if e not in (-1, 0, 1):
+            raise ValueError(f"sign entry must be -1, 0 or +1, got {e!r}")
+        key = key << 2 | e + 1
+    return key
 
 
-# SignSequence operations that only the tests use
+# Key operations that only the tests use; a key does not record its length n
 
 
-def from_text(text: str) -> SignSequence:
-    """Parse the textual form "(1,1,-1,0)" (spaces tolerated)."""
+def entries_of(key: int, n: int) -> tuple[int, ...]:
+    return tuple(unpack([key], n)[0].tolist())
+
+
+def from_text(text: str) -> int:
+    """Key of the textual form "(1,1,-1,0)" (spaces tolerated)."""
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"sign sequence text must be parenthesized: {text!r}")
-    return S(int(p) for p in body[1:-1].split(",") if p.strip())
+    return key_of(int(p) for p in body[1:-1].split(",") if p.strip())
 
 
-def entry(seq: SignSequence, i: int) -> int:
-    if not 0 <= i < seq.n:
+def entry(key: int, n: int, i: int) -> int:
+    if not 0 <= i < n:
         raise IndexError(i)
-    return seq.entries[i]
+    return entries_of(key, n)[i]
 
 
-def zero_positions(seq: SignSequence) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(seq.entries) if e == 0)
+def zero_positions(key: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i, e in enumerate(entries_of(key, n)) if e == 0)
 
 
-def replace(seq: SignSequence, position: int, value: int) -> SignSequence:
-    if value not in (-1, 0, 1):
-        raise ValueError(f"sign entry must be -1, 0 or +1, got {value!r}")
-    entries = list(seq.entries)
+def replace(key: int, n: int, position: int, value: int) -> int:
+    entries = list(entries_of(key, n))
     entries[position] = value
-    return S(entries)
+    return key_of(entries)
 
 
-def concat(seq: SignSequence, entries) -> SignSequence:
-    return S([*seq.entries, *entries])
+def concat(key: int, entries) -> int:
+    entries = list(entries)
+    return key << 2 * len(entries) | key_of(entries)

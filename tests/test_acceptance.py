@@ -12,11 +12,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import make_hand_net, register_criterion
+from conftest import key_of, make_hand_net, register_criterion
 from relucx import (
     BoundaryInconsistent,
     SampleGrid,
-    SignSequence,
     assemble,
     betti_gf2,
     boundary_matrices,
@@ -33,8 +32,6 @@ from relucx.builder import DegenerateNetwork
 from relucx.cli import ExperimentConfig, main, run_experiment
 from relucx.signs import unpack
 from relucx.topology import _check_dd_zero
-
-S = SignSequence.from_entries
 
 ARRANGEMENT_SIZES = ((2, 3), (2, 5), (2, 8), (3, 4), (3, 6))
 EXPERIMENTS = (((2, 5, 1), 4200), ((3, 5, 1), 4300), ((2, 5, 5, 1), 4400))
@@ -159,7 +156,7 @@ def test_criterion_3_sampling_soundness(crit3_builds):
 
 def test_criterion_4_semigroup_laws():
     # exhaustive N=4: every pairwise product computed, composition by table
-    seqs = [S(list(e)) for e in itertools.product((-1, 0, 1), repeat=4)]
+    seqs = [key_of(e) for e in itertools.product((-1, 0, 1), repeat=4)]
     index = {s: i for i, s in enumerate(seqs)}
     idempotent = all(product(s, s) == s for s in seqs)
     table = np.array([[index[product(a, b)] for b in seqs] for a in seqs])
@@ -169,13 +166,9 @@ def test_criterion_4_semigroup_laws():
     # 10^6 random triples at N=20 through the implementation directly
     rng = np.random.default_rng(4)
     codes = rng.integers(0, 3, size=(1_000_000, 3, 20))
-    powers = 4 ** np.arange(19, -1, -1, dtype=object)
-    keys = (codes * powers).sum(axis=2)
+    keys = codes @ 4 ** np.arange(19, -1, -1)  # 40 bits: int64 is exact
     random_bad = 0
-    for ka, kb, kc in keys:
-        a = SignSequence(20, int(ka))
-        b = SignSequence(20, int(kb))
-        c = SignSequence(20, int(kc))
+    for a, b, c in keys.tolist():
         if product(a, product(b, c)) != product(product(a, b), c):
             random_bad += 1
     ok = idempotent and exhaustive and random_bad == 0
@@ -221,10 +214,10 @@ def test_criterion_5_chain_complex_guard(crit1_states, crit2_analysis, crit3_bui
 
 
 def test_criterion_6_product_table_values():
-    v = S([1, 1, 0, 0])
+    v = key_of([1, 1, 0, 0])
     ok = (
-        product(v, S([1, 1, 1, -1])) == S([1, 1, 1, -1])
-        and product(v, S([1, 1, -1, 0])) == S([1, 1, -1, 0])
+        product(v, key_of([1, 1, 1, -1])) == key_of([1, 1, 1, -1])
+        and product(v, key_of([1, 1, -1, 0])) == key_of([1, 1, -1, 0])
     )
     _finish(6, ok, "both published products reproduced")
 

@@ -27,8 +27,8 @@ import relucx.builder
 import relucx.topology
 from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
 from relucx.cli import _analyze
-from relucx.signs import SignSequence, unpack
-from conftest import key_of, zero_positions
+from relucx.signs import n_zeros, unpack
+from conftest import entries_of, key_of, zero_positions
 from test_signs import reference_cube_completions, sparse_zero_sequences
 
 
@@ -193,7 +193,7 @@ def test_vertex_invariants(arch, seed):
     for key, v in state.vertices.items():
         assert v.key == key
         assert len(v.zero_set) == net.n0
-        assert zero_positions(SignSequence(state.covered, key)) == tuple(sorted(v.zero_set))
+        assert zero_positions(key, state.covered) == tuple(sorted(v.zero_set))
         assert v.max_residual <= relucx.builder._RESIDUAL_TOL
         assert np.isfinite(v.solve_condition)
     coords = np.array([v.coords for v in state.vertices.values()])
@@ -216,26 +216,23 @@ def test_closure_purity_and_region_incidence(arch, seed):
         # vertices are exactly the vertices in its closure
         n = state.covered
         assert state.regions == cube_closure(state.vertices, n)[0]
-        verts = [SignSequence(n, key) for key in state.vertices]
         for region, members in state.incidence.items():
-            seq = SignSequence(n, region)
             assert [v.key for v in members] == [
-                v.key for v in verts if product(v, seq) == seq
+                v for v in state.vertices if product(v, region) == region
             ]
     closure = cube_closure(state.vertices, n)
     for zeros, grade in closure.items():
-        for key in grade:
-            cell = SignSequence(n, key)
-            assert cell.n_zeros() == zeros
-            assert any(product(v, cell) == cell for v in verts)
+        for cell in grade:
+            assert n_zeros(cell, n) == zeros
+            assert any(product(v, cell) == cell for v in state.vertices)
 
 
 def reference_region_incidence(vertices, n):
     """The incidence over `reference_cube_completions` of the n-entry vertex keys."""
     incidence = {}
     for key, vert in vertices.items():
-        for region in reference_cube_completions(SignSequence(n, key), values=(-1, 1)):
-            incidence.setdefault(region.key, []).append(vert)
+        for region in reference_cube_completions(key, n, values=(-1, 1)):
+            incidence.setdefault(region, []).append(vert)
     return incidence
 
 
@@ -248,7 +245,7 @@ def reference_region_incidence(vertices, n):
 def test_region_incidence_matches_reference(case):
     n, seqs = case
     # any value stands in for a vertex: only identity and order are compared
-    vertices = {seq.key: object() for seq in seqs}
+    vertices = {key: object() for key, _ in seqs}
     got = _region_incidence(vertices, n)
     want = reference_region_incidence(vertices, n)
     assert list(got) == list(want)  # same regions, same order
@@ -366,10 +363,10 @@ def reference_new_vertices(net, k, state):
     found = {}
     subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
     for region in sorted(state.regions):
-        normals, offsets = region_affine_maps(net, SignSequence(base, region), k)
+        region_entries = entries_of(region, base)
+        normals, offsets = region_affine_maps(net, region_entries, k)
         old_normals, new_normals = normals[:base], normals[base:]
         old_offsets, new_offsets = offsets[:base], offsets[base:]
-        region_entries = SignSequence(base, region).entries
         sign_arr = np.array(region_entries, dtype=float)
         olds_by_size = {s: set() for s in subset_sizes}
         for vert in incidence[region]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_hand_net
-from relucx import DegenerateNetwork, SignSequence, random_init, write_model
+from relucx import AffineLayer, DegenerateNetwork, ReluNetwork, random_init, write_model
 from relucx.cli import (
     EXIT_BAD_MODEL,
     EXIT_DEGENERATE,
@@ -72,6 +72,24 @@ def test_build_svg_output(hand_model, tmp_path):
     assert code == EXIT_OK
     svg = (out / "db.svg").read_text()
     assert svg.count("<line") == 3 and svg.count("<circle") == 2
+
+
+# SHA-256 of db.svg from `relucx build --svg` on random_init nets.  Unlike
+# BUILD_DIGESTS these hold coordinates, printed to three decimals.
+SVG_DIGESTS = {
+    ((2, 8, 8, 1), 3): "c3657a05420819e15fd859051af43b281bd808302391fafe3f01774fbf74ba55",
+    ((2, 6, 6, 6, 1), 1): "23671d6586770b7a4449fa19cfd3e0bbfb6b6c31f76b604e2c8a35b0be6cd76a",
+}
+
+
+@pytest.mark.parametrize("arch,seed", sorted(SVG_DIGESTS))
+def test_build_svg_locked(arch, seed, tmp_path):
+    model, out = tmp_path / "m.json", tmp_path / "out"
+    write_model(random_init(arch, seed), str(model))
+    assert main(["build", "--model", str(model), "--out", str(out), "--svg"]) == EXIT_OK
+    svg = (out / "db.svg").read_bytes()
+    assert svg.count(b"<line") > 20
+    assert hashlib.sha256(svg).hexdigest() == SVG_DIGESTS[arch, seed]
 
 
 def test_build_svg_skipped_off_plane(tmp_path, capsys):
@@ -151,6 +169,37 @@ def test_build_degenerate_model(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "degenerate_network"
     assert report["detail"]
+
+
+def scaled_net(arch, seed) -> ReluNetwork:
+    """Random net whose units are scaled by 10^U(-4, 4), so that its numbers span 8 decades."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for n_in, n_out in zip(arch, arch[1:]):
+        s = 10 ** rng.uniform(-4, 4, n_out)
+        w = rng.standard_normal((n_out, n_in)) * s[:, None]
+        b = rng.standard_normal(n_out) * s
+        layers.append(AffineLayer(w, b))
+    return ReluNetwork(arch, tuple(layers))
+
+
+@pytest.mark.parametrize(
+    "arch,seed,commands,error",
+    [
+        ((2, 3, 3, 1), 27, ["build"], "closure_violation"),  # Euler characteristic 0, not 1
+        ((2, 4, 4, 1), 535, ["build", "oracle-check"], "duplicate_mismatch"),
+    ],
+)
+def test_inconsistent_build_exits_degenerate(tmp_path, capsys, arch, seed, commands, error):
+    path = tmp_path / "scaled.json"
+    write_model(scaled_net(arch, seed), str(path))
+    for command in commands:
+        flags = ["--out", str(tmp_path / "out")] if command == "build" else []
+        assert main([command, "--model", str(path), *flags]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
 def test_build_unsupported_architecture(tmp_path, capsys):
@@ -731,19 +780,3 @@ def test_tolerance_flags_rejected(tmp_path, capsys):
     assert captured.out == "" and "error: unrecognized arguments" in captured.err
     assert not out.exists()
 
-
-def test_analysis_makes_no_sign_sequence(monkeypatch):
-    # sign sequences stay packed keys from the solves to the Betti numbers
-    made = []
-    real_init = SignSequence.__init__
-
-    def counted(self, n, key):
-        made.append(key)
-        real_init(self, n, key)
-
-    monkeypatch.setattr(SignSequence, "__init__", counted)
-    _, cx, _, report = relucx.cli._analyze(random_init((2, 8, 8, 1), 0))
-    assert len(cx.cells) > 400 and report.betti
-    assert made == []
-    SignSequence.from_entries([1, 0])  # the count does see a construction
-    assert len(made) == 1

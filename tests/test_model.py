@@ -17,7 +17,7 @@ from relucx import (
     write_model,
 )
 from relucx.model import network_from_dict, network_to_dict, stacked_region_affine_maps
-from relucx.signs import SignSequence
+from relucx.signs import unpack
 
 
 def forward_oracle(net, x):
@@ -88,7 +88,7 @@ def test_dimension_mismatch_rejected(hand_net):
 
 def test_hand_net_region_functionals(hand_net):
     # second unit masked off: output restricts to x - 1
-    normals, offsets = region_affine_maps(hand_net, SignSequence.from_entries([1, -1]), 2)
+    normals, offsets = region_affine_maps(hand_net, [1, -1], 2)
     assert normals.shape == (3, 2) and offsets.shape == (3,)
     assert np.allclose(normals[2], [1.0, 0.0])
     assert offsets[2] == pytest.approx(-1.0)
@@ -99,8 +99,7 @@ def test_hand_net_region_functionals(hand_net):
 
 def test_all_positive_region_is_plain_composition():
     net = random_init((3, 4, 4, 1), 2)
-    signs = SignSequence.from_entries([1] * 8)
-    normals, offsets = region_affine_maps(net, signs, 3)
+    normals, offsets = region_affine_maps(net, [1] * 8, 3)
     w1, b1 = net.layers[0].weights, net.layers[0].bias
     w2, b2 = net.layers[1].weights, net.layers[1].bias
     w3, b3 = net.layers[2].weights, net.layers[2].bias
@@ -119,7 +118,7 @@ def test_region_functionals_match_values_inside_region():
     for x, row in zip(pts, vals):
         if np.any(np.abs(row) < 1e-6):
             continue
-        prefix = SignSequence.from_entries([1 if v > 0 else -1 for v in row[:5]])
+        prefix = [1 if v > 0 else -1 for v in row[:5]]
         normals, offsets = region_affine_maps(net, prefix, 2)
         got = normals @ x + offsets
         assert np.allclose(got, row, rtol=1e-9, atol=1e-12)
@@ -131,7 +130,7 @@ def test_region_functionals_match_values_inside_region():
 
 def reference_region_affine_maps(net, region_signs, upto_layer):
     """The maps of one region, composed layer by layer on their own."""
-    active = np.array(region_signs.entries) > 0
+    active = np.asarray(region_signs) > 0
     mat = net.layers[0].weights.astype(float)
     off = net.layers[0].bias.astype(float)
     normals, offsets = [mat], [off]
@@ -152,14 +151,13 @@ def reference_region_affine_maps(net, region_signs, upto_layer):
 def test_stacked_maps_match_per_region_reference(arch):
     # every region of every layer, the output map's layer k = depth + 1 included
     net = random_init(arch, 0)
-    empty = SignSequence.from_entries([])
     normals, offsets = stacked_region_affine_maps(net, np.zeros((1, 0), dtype=bool), 1)
-    ref = reference_region_affine_maps(net, empty, 1)
+    ref = reference_region_affine_maps(net, [], 1)
     assert np.array_equal(normals[0], ref[0]) and np.array_equal(offsets[0], ref[1])
     state = first_layer_vertices(net)
     for k in range(2, net.depth + 2):
-        regions = [SignSequence(state.covered, key) for key in sorted(state.regions)]
-        active = np.array([r.entries for r in regions]) > 0
+        regions = unpack(sorted(state.regions), state.covered)
+        active = regions > 0
         normals, offsets = stacked_region_affine_maps(net, active, k)
         assert normals.shape == (len(regions), net.layer_offset(k + 1), net.n0)
         for r, region in enumerate(regions):
@@ -174,11 +172,11 @@ def test_stacked_maps_match_per_region_reference(arch):
 
 def test_region_functionals_validate_prefix(hand_net):
     with pytest.raises(ValueError):
-        region_affine_maps(hand_net, SignSequence.from_entries([1, 0]), 2)
+        region_affine_maps(hand_net, [1, 0], 2)
     with pytest.raises(ValueError):
-        region_affine_maps(hand_net, SignSequence.from_entries([1]), 2)
+        region_affine_maps(hand_net, [1], 2)
     with pytest.raises(ValueError):
-        region_affine_maps(hand_net, SignSequence.from_entries([1, 1]), 3)
+        region_affine_maps(hand_net, [1, 1], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sign-sequence algebra: frozen values, reference oracle, and semigroup laws."""
+"""Sign-sequence keys: frozen product values, reference oracle, and semigroup laws."""
 
 import itertools
 
@@ -8,89 +8,91 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from conftest import concat, entry, from_text, replace, zero_positions
-from relucx import SignSequence, product
-from relucx.signs import completion_keys, cube_closure, pack, text, unpack
-
-S = SignSequence.from_entries
+from conftest import concat, entries_of, entry, from_text, key_of, replace, zero_positions
+from relucx import product
+from relucx.signs import completion_keys, cube_closure, n_zeros, pack, text, unpack
 
 
-def naive_product(a: SignSequence, b: SignSequence) -> SignSequence:
+def naive_product(a: int, b: int, n: int) -> int:
     """Elementwise reference: a's entry where nonzero, else b's."""
-    return S([x if x != 0 else y for x, y in zip(a.entries, b.entries)])
+    return key_of(x if x != 0 else y for x, y in zip(entries_of(a, n), entries_of(b, n)))
 
 
-def reference_cube_completions(a: SignSequence, values=(-1, 0, 1)):
+def reference_cube_completions(a: int, n: int, values=(-1, 0, 1)):
     """The per-zero `replace` chain that the packed-key completions replaced."""
-    zeros = zero_positions(a)
+    zeros = zero_positions(a, n)
     for combo in itertools.product(values, repeat=len(zeros)):
         s = a
         for p, v in zip(zeros, combo):
-            s = replace(s, p, v)
+            s = replace(s, n, p, v)
         yield s
 
 
-def reference_cube_closure(vertex_signs) -> dict[int, set[int]]:
-    """The keys of the closure over `reference_cube_completions`, graded by zero count."""
+def reference_cube_closure(vertex_keys, n: int) -> dict[int, set[int]]:
+    """The closure over `reference_cube_completions`, graded by zero count."""
     graded: dict[int, set[int]] = {}
-    for v in vertex_signs:
-        for cell in reference_cube_completions(v):
-            graded.setdefault(cell.n_zeros(), set()).add(cell.key)
+    for v in vertex_keys:
+        for cell in reference_cube_completions(v, n):
+            graded.setdefault(n_zeros(cell, n), set()).add(cell)
     return graded
 
 
-def cube_completions(a: SignSequence, values=(-1, 0, 1)) -> list[SignSequence]:
-    """The packed-key completions of a, each wrapped as a sequence."""
-    return [SignSequence(a.n, key) for key in completion_keys(a.key, a.n, values, {})]
+def cube_completions(a: int, n: int, values=(-1, 0, 1)) -> list[int]:
+    return list(completion_keys(a, n, values, {}))
 
 
-def all_sequences(n: int) -> list[SignSequence]:
-    return [S(e) for e in itertools.product((-1, 0, 1), repeat=n)]
+def all_keys(n: int) -> list[int]:
+    return [key_of(e) for e in itertools.product((-1, 0, 1), repeat=n)]
 
 
 sign_entries = st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=12)
 
 
-def seq_pair(draw_len):
-    return st.lists(
-        st.sampled_from((-1, 0, 1)), min_size=draw_len, max_size=draw_len
-    ).map(S)
+def keys_of_length(n: int):
+    return st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(key_of)
 
 
 @st.composite
 def vertex_sets(draw):
+    """(keys, n): up to five keys of n entries."""
     n = draw(st.integers(min_value=1, max_value=6))
-    mk = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(S)
-    return draw(st.lists(mk, min_size=1, max_size=5))
+    return draw(st.lists(keys_of_length(n), min_size=1, max_size=5)), n
 
 
 @st.composite
 def sparse_zero_sequences(draw, n=None, max_zeros=6):
-    """Sequences of up to 40 entries (keys up to 80 bits) with few zeros."""
+    """(key, n): up to 40 entries (keys up to 80 bits) with few zeros."""
     n = draw(st.integers(min_value=1, max_value=40)) if n is None else n
     zeros = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=min(n, max_zeros)))
     signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
-    return S([0 if i in zeros else s for i, s in enumerate(signs)])
+    return key_of([0 if i in zeros else s for i, s in enumerate(signs)]), n
+
+
+def with_length(entries):
+    return key_of(entries), len(entries)
 
 
 completion_inputs = st.one_of(
     sparse_zero_sequences(),
-    st.integers(min_value=1, max_value=7).map(lambda n: S([0] * n)),  # all zeros
-    st.lists(st.sampled_from((-1, 1)), min_size=33, max_size=40).map(S),  # no zeros
+    st.integers(min_value=1, max_value=7).map(lambda n: with_length([0] * n)),  # all zeros
+    st.lists(st.sampled_from((-1, 1)), min_size=33, max_size=40).map(with_length),  # no zeros
 )
 
 
 @st.composite
 def equal_length_vertex_sets(draw):
+    """(keys, n): up to eight keys of n entries with few zeros."""
     n = draw(st.integers(min_value=1, max_value=40))
-    return draw(st.lists(sparse_zero_sequences(n, max_zeros=4), min_size=0, max_size=8))
+    seqs = draw(st.lists(sparse_zero_sequences(n, max_zeros=4), min_size=0, max_size=8))
+    return [key for key, _ in seqs], n
 
 
 @st.composite
 def seq_triples(draw):
+    """(a, b, c, n): three keys of n entries."""
     n = draw(st.integers(min_value=1, max_value=10))
-    mk = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n).map(S)
-    return draw(mk), draw(mk), draw(mk)
+    mk = keys_of_length(n)
+    return draw(mk), draw(mk), draw(mk), n
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +100,15 @@ def seq_triples(draw):
 
 
 def test_product_table_values():
-    v = S([1, 1, 0, 0])
-    assert product(v, S([1, 1, 1, -1])) == S([1, 1, 1, -1])
-    assert product(v, S([1, 1, -1, 0])) == S([1, 1, -1, 0])
+    v = key_of([1, 1, 0, 0])
+    assert product(v, key_of([1, 1, 1, -1])) == key_of([1, 1, 1, -1])
+    assert product(v, key_of([1, 1, -1, 0])) == key_of([1, 1, -1, 0])
 
 
 def test_face_examples():
-    assert product(S([1, 1, 0, 0]), S([1, 1, -1, 0])) == S([1, 1, -1, 0])
-    assert product(S([1, 1, -1, 0]), S([1, 1, 1, -1])) != S([1, 1, 1, -1])
-    a = S([1, -1, 0, 1])
+    assert product(key_of([1, 1, 0, 0]), key_of([1, 1, -1, 0])) == key_of([1, 1, -1, 0])
+    assert product(key_of([1, 1, -1, 0]), key_of([1, 1, 1, -1])) != key_of([1, 1, 1, -1])
+    a = key_of([1, -1, 0, 1])
     assert product(a, a) == a
 
 
@@ -116,10 +118,10 @@ def test_face_examples():
 
 def test_text_round_trip():
     for e in ([1, 1, -1, 0], [0], [-1, -1], [1, 0, 1, 0, -1]):
-        seq = S(e)
-        assert seq.text() == "(" + ",".join(str(x) for x in e) + ")"
-        assert from_text(seq.text()) == seq
-    assert from_text(" ( 1 , -1 , 0 ) ") == S([1, -1, 0])
+        key = key_of(e)
+        assert text(key, len(e)) == "(" + ",".join(str(x) for x in e) + ")"
+        assert from_text(text(key, len(e))) == key
+    assert from_text(" ( 1 , -1 , 0 ) ") == key_of([1, -1, 0])
 
 
 def test_from_text_rejects_bad_input():
@@ -130,44 +132,33 @@ def test_from_text_rejects_bad_input():
 
 
 def test_entries_accessors():
-    a = S([1, 0, -1, 0])
-    assert a.entries == (1, 0, -1, 0)
-    assert [entry(a, i) for i in range(4)] == [1, 0, -1, 0]
-    assert zero_positions(a) == (1, 3)
-    assert a.n_zeros() == 2
-    assert len(a) == 4
-    assert list(a.entries) == [1, 0, -1, 0]
-    assert replace(a, 1, 1) == S([1, 1, -1, 0])
-    assert concat(a, [0, 1]) == S([1, 0, -1, 0, 0, 1])
+    a = key_of([1, 0, -1, 0])
+    assert entries_of(a, 4) == (1, 0, -1, 0)
+    assert [entry(a, 4, i) for i in range(4)] == [1, 0, -1, 0]
+    assert zero_positions(a, 4) == (1, 3)
+    assert n_zeros(a, 4) == 2
+    assert replace(a, 4, 1, 1) == key_of([1, 1, -1, 0])
+    assert concat(a, [0, 1]) == key_of([1, 0, -1, 0, 0, 1])
     with pytest.raises(IndexError):
-        entry(a, 4)
+        entry(a, 4, 4)
     with pytest.raises(ValueError):
-        replace(a, 0, 2)
-    with pytest.raises(ValueError):
-        S([1, 2, 0])
+        replace(a, 4, 0, 2)
 
 
 def test_canonical_order_is_lexicographic():
-    seqs = all_sequences(3)
-    by_key = sorted(seqs)
-    by_entries = sorted(seqs, key=lambda s: s.entries)
-    assert by_key == by_entries
-
-
-def test_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        product(S([1, 0]), S([1, 0, -1]))
+    keys = all_keys(3)
+    assert sorted(keys) == sorted(keys, key=lambda k: entries_of(k, 3))
 
 
 def test_cube_completions_counts():
-    a = S([0, 1, 0, -1])
-    full = cube_completions(a)
-    assert len(full) == 3 ** a.n_zeros()
+    a, n = key_of([0, 1, 0, -1]), 4
+    full = cube_completions(a, n)
+    assert len(full) == 3 ** n_zeros(a, n)
     assert len(set(full)) == len(full)
     assert a in full
-    regions = cube_completions(a, values=(-1, 1))
-    assert len(regions) == 2 ** a.n_zeros()
-    assert all(r.n_zeros() == 0 for r in regions)
+    regions = cube_completions(a, n, values=(-1, 1))
+    assert len(regions) == 2 ** n_zeros(a, n)
+    assert all(n_zeros(r, n) == 0 for r in regions)
     assert all(product(a, r) == r for r in regions)
 
 
@@ -177,22 +168,23 @@ def test_cube_completions_counts():
 
 @settings(max_examples=300)
 @given(completion_inputs, st.sampled_from([(-1, 0, 1), (-1, 1)]))
-@example(S([0] * 6), (-1, 0, 1))
-@example(S([1, -1] * 20), (-1, 1))
-@example(S([0] + [1, -1] * 17 + [0, 0]), (-1, 0, 1))
+@example(with_length([0] * 6), (-1, 0, 1))
+@example(with_length([1, -1] * 20), (-1, 1))
+@example(with_length([0] + [1, -1] * 17 + [0, 0]), (-1, 0, 1))
 def test_completions_match_reference_in_order(seq, values):
-    got = cube_completions(seq, values)
-    assert got == list(reference_cube_completions(seq, values))
-    assert [c.n for c in got] == [seq.n] * len(got)
+    key, n = seq
+    got = cube_completions(key, n, values)
+    assert got == list(reference_cube_completions(key, n, values))
+    assert all(c >> 2 * n == 0 for c in got)  # still n entries
 
 
 @settings(max_examples=200)
 @given(equal_length_vertex_sets())
-@example([S([0] * 4), S([1, 0, -1, 0])])
-@example([S([0] + [1] * 39), S([-1] * 38 + [0, 0])])
+@example(([key_of([0] * 4), key_of([1, 0, -1, 0])], 4))
+@example(([key_of([0] + [1] * 39), key_of([-1] * 38 + [0, 0])], 40))
 def test_closure_matches_reference(verts):
-    n = verts[0].n if verts else 0
-    got, want = cube_closure([v.key for v in verts], n), reference_cube_closure(verts)
+    keys, n = verts
+    got, want = cube_closure(keys, n), reference_cube_closure(keys, n)
     assert list(got) == list(want)  # grades in the same order
     assert got == want
 
@@ -200,7 +192,7 @@ def test_closure_matches_reference(verts):
 def test_closure_rejects_mixed_lengths():
     # keys carry no length: a 3-entry key among 2-entry ones is too wide
     with pytest.raises(ValueError, match="more than 2 entries"):
-        cube_closure([S([0, 1]).key, S([0, 1, 1]).key], 2)
+        cube_closure([key_of([0, 1]), key_of([0, 1, 1])], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +200,9 @@ def test_closure_rejects_mixed_lengths():
 
 
 def test_product_matches_naive_exhaustively_n2():
-    for a in all_sequences(2):
-        for b in all_sequences(2):
-            assert product(a, b) == naive_product(a, b)
+    for a in all_keys(2):
+        for b in all_keys(2):
+            assert product(a, b) == naive_product(a, b, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,72 +211,69 @@ def test_product_matches_naive_exhaustively_n2():
 
 @given(sign_entries)
 def test_idempotence(entries):
-    a = S(entries)
+    a = key_of(entries)
     assert product(a, a) == a
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_associativity(triple):
-    a, b, c = triple
+    a, b, c, _ = triple
     assert product(a, product(b, c)) == product(product(a, b), c)
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_product_matches_naive(triple):
-    a, b, _ = triple
-    assert product(a, b) == naive_product(a, b)
+    a, b, _, n = triple
+    assert product(a, b) == naive_product(a, b, n)
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_absorption_characterizes_faces(triple):
-    a, b, _ = triple
-    za, zb = set(zero_positions(a)), set(zero_positions(b))
-    agree_off_za = all(
-        entry(a, i) == entry(b, i) for i in range(a.n) if i not in za
-    )
+    a, b, _, n = triple
+    za, zb = set(zero_positions(a, n)), set(zero_positions(b, n))
+    agree_off_za = all(entry(a, n, i) == entry(b, n, i) for i in range(n) if i not in za)
     assert (product(a, b) == b) == (zb <= za and agree_off_za)
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_commutativity_iff_no_opposition(triple):
-    a, b, _ = triple
-    opposed = any(x * y == -1 for x, y in zip(a.entries, b.entries))
+    a, b, _, n = triple
+    opposed = any(x * y == -1 for x, y in zip(entries_of(a, n), entries_of(b, n)))
     assert (product(a, b) == product(b, a)) == (not opposed)
 
 
 @settings(max_examples=200)
 @given(vertex_sets())
 def test_cube_closure_is_closed_under_resolving_zeros(verts):
-    n = verts[0].n
-    closure = cube_closure([v.key for v in verts], n)
-    cells = {SignSequence(n, key) for grade in closure.values() for key in grade}
+    keys, n = verts
+    cells = {key for grade in cube_closure(keys, n).values() for key in grade}
     for cell in cells:
-        for p in zero_positions(cell):
-            assert replace(cell, p, 1) in cells
-            assert replace(cell, p, -1) in cells
+        for p in zero_positions(cell, n):
+            assert replace(cell, n, p, 1) in cells
+            assert replace(cell, n, p, -1) in cells
 
 
 @given(sign_entries)
 def test_n_zeros_counts_zeros(entries):
-    assert S(entries).n_zeros() == sum(1 for e in entries if e == 0)
+    assert n_zeros(key_of(entries), len(entries)) == sum(1 for e in entries if e == 0)
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_product_zeros_are_common_zeros(triple):
-    a, b, _ = triple
-    expected = set(zero_positions(a)) & set(zero_positions(b))
-    assert set(zero_positions(product(a, b))) == expected
+    a, b, _, n = triple
+    expected = set(zero_positions(a, n)) & set(zero_positions(b, n))
+    assert set(zero_positions(product(a, b), n)) == expected
 
 
 @settings(max_examples=300)
 @given(seq_triples())
 def test_face_relation_is_partial_order(triple):
-    a, b, c = triple
+    a, b, c, _ = triple
     if product(a, b) == b and product(b, a) == a:
         assert a == b
     if product(a, b) == b and product(b, c) == c:
@@ -292,7 +281,7 @@ def test_face_relation_is_partial_order(triple):
 
 
 # ---------------------------------------------------------------------------
-# the packed format: pack, unpack and text against the sequence type
+# the packed format: pack, unpack and text against the one-field-at-a-time key
 
 
 @settings(max_examples=100)
@@ -305,9 +294,8 @@ def test_face_relation_is_partial_order(triple):
 )
 def test_pack_unpack_text_round_trip(rows):
     n = len(rows[0])
-    seqs = [S(row) for row in rows]
     keys = pack(np.array(rows)).tolist()
-    assert keys == [seq.key for seq in seqs]
+    assert keys == [key_of(row) for row in rows]
     assert all(type(k) is int for k in keys)
     assert unpack(keys, n).tolist() == rows
-    assert [text(k, n) for k in keys] == [seq.text() for seq in seqs]
+    assert [text(k, n) for k in keys] == ["(" + ",".join(map(str, row)) + ")" for row in rows]

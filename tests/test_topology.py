@@ -25,7 +25,7 @@ from relucx import (
     render_db_svg,
 )
 from conftest import entry, key_of, replace
-from relucx.signs import SignSequence, n_zeros
+from relucx.signs import n_zeros
 
 
 def assemble_state(state):
@@ -151,11 +151,10 @@ def test_edges_have_at_most_two_vertex_facets(arch, seed):
 
 def test_commuting_products_land_in_complex():
     cx = assemble_state(build_complex(random_init((2, 4, 1), 1)))
-    cells = [SignSequence(cx.n, key) for key in cx.cells]
-    for a, b in itertools.combinations(cells, 2):
+    for a, b in itertools.combinations(cx.cells, 2):
         ab = product(a, b)
         if ab == product(b, a):
-            assert ab.key in cx.cells
+            assert ab in cx.cells
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +188,10 @@ def test_decision_boundary_hand_example(hand_net):
     assert set(db.grading[0]) == {key_of([0, 1, 0]), key_of([1, 0, 0])}
     assert set(db.grading[1]) == {key_of([1, 1, 0]), key_of([-1, 1, 0]), key_of([1, -1, 0])}
     # faces of boundary cells stay in the boundary
-    for seq in (SignSequence(db.n, key) for key in db.cells):
-        for p in range(seq.n):
-            if entry(seq, p) != 0:
-                facet = replace(seq, p, 0).key
+    for key in db.cells:
+        for p in range(db.n):
+            if entry(key, db.n, p) != 0:
+                facet = replace(key, db.n, p, 0)
                 if facet in cx.cells:
                     assert facet in db.cells
 
