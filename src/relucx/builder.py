@@ -16,11 +16,11 @@ composed by one stacked `matmul`, and the candidate systems of all its
 regions form one index array, in candidate order.  They are solved and
 checked in fixed blocks of BLOCK_CANDIDATES: the exact residual, sign and
 condition checks run as stacked `matmul` and batched `cond`, which give the
-same bits as one call per candidate; a block's sign rows are packed into
-keys at once, and Python only walks the accepted vertices into the merge.
-The first layer's subsets go through the same blocks: one batched `cond`,
-one `solve` and one `matmul` per block, then a walk in subset order that
-raises at the first failing subset.
+same bits as one call per candidate, and the earliest failing candidate
+refuses the network.  The accepted rows of all blocks are merged in one
+array pass per layer that keeps one vertex per key.  The first layer's
+subsets go through the same blocks: one batched `cond`, one `solve` and one
+`matmul` per block.
 
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
 text is made only for error messages.  Regions are never solved for
@@ -87,7 +87,6 @@ BLOCK_CANDIDATES = 128
 @dataclass(frozen=True, eq=False)
 class Vertex:
     coords: np.ndarray
-    key: int  # packed sign sequence
     zero_set: tuple[int, ...]  # flat node indices of the solved equations
     max_residual: float
     solve_condition: float
@@ -122,43 +121,55 @@ def _region_incidence(vertices: dict[int, Vertex], n: int) -> dict[int, list[Ver
     return dict(incidence)
 
 
-def _strict_sign(value: float, context: str) -> int:
-    if abs(value) < _DEGENERACY_TOL:
-        raise DegenerateNetwork(
-            f"{context}: node map value {value:.3e} within degeneracy tolerance of 0"
-        )
-    return 1 if value > 0 else -1
+def _near_check(vals: np.ndarray, free, context):
+    """The `_refuse` check for a free value within _DEGENERACY_TOL of 0 in a row of `vals`."""
+    near = free & (np.abs(vals) < _DEGENERACY_TOL)
+
+    def message(i):
+        value = vals[i][near[i]][0]
+        return f"{context(i)}: node map value {value:.3e} within degeneracy tolerance of 0"
+
+    return near.any(axis=1), message
 
 
-def _strict_signs(vals: np.ndarray, context) -> np.ndarray:
-    """`_strict_sign` over an array; only its first entry near 0 calls `context(index)`."""
-    near = np.abs(vals) < _DEGENERACY_TOL
-    if near.any():
-        first = np.unravel_index(near.argmax(), near.shape)
-        _strict_sign(vals[first], context(first))
-    return np.where(vals > 0, 1, -1)
+def _refuse(*checks) -> None:
+    """Raise DegenerateNetwork for the earliest row that fails any check.
+
+    A check is a boolean mask over the rows and a function of a row index
+    giving the message; the row raises with the first check it fails.
+    """
+    masks = np.array([mask for mask, _ in checks], dtype=bool)
+    failing = masks.any(axis=0)
+    if failing.any():
+        row = int(failing.argmax())
+        raise DegenerateNetwork(checks[int(masks[:, row].argmax())][1](row))
 
 
-def _vertex_rank(v: Vertex) -> tuple:
-    # total order making duplicate resolution independent of discovery order
-    return (v.max_residual, v.solve_condition, tuple(v.coords))
+def _unique_vertices(keys, xs, zero_sets, residuals, conds, n: int) -> dict[int, Vertex]:
+    """One vertex per distinct key: its least (residual, condition, coords) candidate.
 
-
-def _merge_vertex(table: dict[int, Vertex], cand: Vertex, n: int) -> None:
-    held = table.get(cand.key)
-    if held is None:
-        table[cand.key] = cand
-        return
-    scale = 1.0 + max(
-        float(np.linalg.norm(held.coords)), float(np.linalg.norm(cand.coords))
-    )
-    gap = float(np.max(np.abs(held.coords - cand.coords)))
-    if gap > _MERGE_TOL * scale:
+    Every candidate is compared with the vertex chosen for its key, so the
+    outcome does not depend on the candidates' order; one farther from it
+    than _MERGE_TOL, scaled by 1 + the larger norm, raises DuplicateMismatch.
+    """
+    distinct, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    chosen = np.lexsort((*xs.T[::-1], conds, residuals, group))[np.cumsum(counts) - counts]
+    held = chosen[group]
+    norms = np.linalg.norm(xs, axis=1)
+    gaps = np.max(np.abs(xs - xs[held]), axis=1)
+    far = np.flatnonzero(gaps > _MERGE_TOL * (1.0 + np.maximum(norms, norms[held])))
+    if len(far):
+        c = far[0]
         raise DuplicateMismatch(
-            f"sign sequence {text(cand.key, n)} held by two vertices {gap:.3e} apart"
+            f"sign sequence {text(int(keys[c]), n)} held by two vertices {gaps[c]:.3e} apart"
         )
-    if _vertex_rank(cand) < _vertex_rank(held):
-        table[cand.key] = cand
+    return _vertex_table(distinct, xs[chosen], zero_sets[chosen], residuals[chosen], conds[chosen])
+
+
+def _vertex_table(keys, xs, zero_sets, residuals, conds) -> dict[int, Vertex]:
+    """Vertices from rows of arrays, keyed and ordered by `keys`."""
+    rows = zip(xs, zero_sets.tolist(), residuals.tolist(), conds.tolist())
+    return {key: Vertex(x, tuple(z), r, c) for key, (x, z, r, c) in zip(keys.tolist(), rows)}
 
 
 def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
@@ -181,23 +192,22 @@ def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
     alphas = list(combinations(range(n1), n0))
     vertices: dict[int, Vertex] = {}
     for start in range(0, len(alphas), BLOCK_CANDIDATES):
-        for vert in _first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES]):
-            vertices[vert.key] = vert
+        vertices.update(_first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES]))
     return LayerBuildState(1, n1, vertices)
 
 
-def _first_layer_block(layer, alphas):
-    """Solve and check one block of first-layer subsets; yield their vertices.
+def _first_layer_block(layer, alphas) -> dict[int, Vertex]:
+    """Solve and check one block of first-layer subsets; return their vertices.
 
     Batched `cond`, `solve` and stacked `matmul` give the same bits as one
-    call per subset.  Subsets are walked in order, and the first failing one
-    raises DegenerateNetwork with the check it fails first: condition, then
+    call per subset.  If a subset fails, the earliest failing one raises
+    DegenerateNetwork with the check it fails first: condition, then
     residual, then a free map near zero.
     """
     weights, bias = layer.weights, layer.bias
     subsets = np.array(alphas)
     conds = np.linalg.cond(weights[subsets])
-    well = np.isfinite(conds) & ~(conds > _COND_MAX)
+    well = conds <= _COND_MAX  # False for inf and NaN
     xs = np.full(subsets.shape, np.nan)
     if well.any():
         xs[well] = np.linalg.solve(weights[subsets[well]], -bias[subsets[well], None])[..., 0]
@@ -205,22 +215,15 @@ def _first_layer_block(layer, alphas):
     residuals = np.max(np.abs(np.take_along_axis(vals, subsets, axis=1)), axis=1)
     free = np.ones(vals.shape, dtype=bool)
     np.put_along_axis(free, subsets, False, axis=1)
-    near = np.any(free & (np.abs(vals) < _DEGENERACY_TOL), axis=1)
-    keys = pack(np.where(free, np.where(vals > 0, 1, -1), 0)).tolist()
-    for i, alpha in enumerate(alphas):
-        cond = float(conds[i])
-        if not well[i]:
-            raise DegenerateNetwork(
-                f"first layer: subsystem {alpha} has condition estimate {cond:.3e}"
-            )
-        residual = float(residuals[i])
-        if residual > _RESIDUAL_TOL:
-            raise DegenerateNetwork(
-                f"first layer: subsystem {alpha} solved with residual {residual:.3e}"
-            )
-        if near[i]:
-            _strict_signs(vals[i][free[i]], lambda _: f"first layer at {alpha}")
-        yield Vertex(xs[i].copy(), keys[i], alpha, residual, cond)
+    _refuse(
+        (~well, lambda i: f"first layer: subsystem {alphas[i]} has condition estimate "
+         f"{conds[i]:.3e}"),
+        (residuals > _RESIDUAL_TOL, lambda i: f"first layer: subsystem {alphas[i]} solved "
+         f"with residual {residuals[i]:.3e}"),
+        _near_check(vals, free, lambda i: f"first layer at {alphas[i]}"),
+    )
+    keys = pack(np.where(free, np.where(vals > 0, 1, -1), 0))
+    return _vertex_table(keys, xs, subsets, residuals, conds)
 
 
 def _layer_candidates(
@@ -260,12 +263,14 @@ def _layer_candidates(
 
 
 def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
-    """Solve and exactly check one block of candidates; yield its vertices.
+    """Solve and exactly check one block of candidates; return the accepted ones.
 
     `normals` (R, m, n_0), `offsets` (R, m) and `region_signs` (R, base) hold
     the layer's region maps and signs; candidate c solves rows `rows[c]` of
-    region `ids[c]`.  Vertices come in candidate order; the first candidate
-    that fails a check raises DegenerateNetwork, prefixed `context(region)`.
+    region `ids[c]`.  The accepted candidates come back as arrays of keys,
+    coordinates, zero sets, residuals and condition estimates, in candidate
+    order.  If a candidate fails a check, the earliest failing one raises
+    DegenerateNetwork, prefixed `context(region)`.
     """
     mats = normals[ids[:, None], rows]
     rhss = offsets[ids[:, None], rows]
@@ -300,26 +305,17 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     wids = ids[walk]
     vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
     free = unsolved[walk, base:]
-    tail_near = np.any(free & (np.abs(vals_new) < _DEGENERACY_TOL), axis=1)
+    _refuse(
+        (near[walk], lambda i: f"{context(wids[i])}: remaining node map within degeneracy "
+         "tolerance of 0 at a candidate vertex"),
+        (~(conds <= _COND_MAX), lambda i: f"{context(wids[i])}: accepted system has "
+         f"condition estimate {conds[i]:.3e}"),
+        _near_check(vals_new, free, lambda i: context(wids[i])),
+    )
     tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
-    keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails])).tolist()
-    for i, c in enumerate(walk.tolist()):
-        if near[c]:
-            raise DegenerateNetwork(
-                f"{context(ids[c])}: remaining node map within "
-                f"degeneracy tolerance of 0 at a candidate vertex"
-            )
-        # accepted: xs[c] is a vertex in the closure of its region
-        cond = float(conds[i])
-        if not np.isfinite(cond) or cond > _COND_MAX:
-            raise DegenerateNetwork(
-                f"{context(ids[c])}: accepted system has condition estimate {cond:.3e}"
-            )
-        if tail_near[i]:
-            _strict_signs(vals_new[i][free[i]], lambda _: context(ids[c]))
-        # every old row is below every new row, and both parts come sorted
-        zero_set = tuple(sorted(rows[c].tolist()))
-        yield Vertex(xs[c].copy(), keys[i], zero_set, float(residual[c]), cond)
+    keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails]))
+    # every old row is below every new row, so sorting lists the old ones first
+    return keys, xs[walk], np.sort(rows[walk], axis=1), residual[walk], conds
 
 
 def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuildState:
@@ -327,8 +323,9 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
 
     Existing vertices keep their coordinates and gain strict signs for the new
     maps.  New vertices are solved for all regions at once, BLOCK_CANDIDATES
-    candidate systems at a time; the merge of results is order-independent,
-    so any order of the candidates yields the same state.
+    candidate systems at a time; duplicates are resolved in one pass over the
+    whole layer, independent of candidate order, so any order of the
+    candidates gives the same state.
     """
     if k != state.layer + 1:
         raise ValueError(f"state covers layers 1..{state.layer}, cannot extend to layer {k}")
@@ -339,39 +336,32 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
     n = base + n_k
 
     # (a) carry existing vertices over, extending their keys by evaluation
-    carried: dict[int, Vertex] = {}
-    if state.vertices:
-        olds = list(state.vertices.values())
-        coords = np.array([v.coords for v in olds])
-        vals = node_map_value_matrix(net, coords)[:, base:n]
-        tails = _strict_signs(
-            vals, lambda ij: f"layer {k} at existing vertex {text(olds[ij[0]].key, base)}"
-        )
-        for tail, vert in zip(pack(tails).tolist(), olds):
-            key = vert.key << 2 * n_k | tail
-            carried[key] = Vertex(
-                vert.coords, key, vert.zero_set, vert.max_residual, vert.solve_condition
-            )
+    olds = list(state.vertices)
+    coords = np.array([v.coords for v in state.vertices.values()])
+    vals = node_map_value_matrix(net, coords)[:, base:n]
+    _refuse(
+        _near_check(vals, True, lambda i: f"layer {k} at existing vertex {text(olds[i], base)}")
+    )
+    tails = pack(np.where(vals > 0, 1, -1)).tolist()
+    vertices = {
+        key << 2 * n_k | tail: vert for (key, vert), tail in zip(state.vertices.items(), tails)
+    }
 
     # (b) solve for new vertices inside every region of the current complex
     regions = sorted(state.regions)
     ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
     region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
-    discovered: dict[int, Vertex] = {}
-    for start in range(0, len(ids), BLOCK_CANDIDATES):
-        block = slice(start, start + BLOCK_CANDIDATES)
-        for vert in _block_vertices(
-            normals, offsets, region_signs, ids[block], rows[block], base,
+    blocks = [
+        _block_vertices(
+            normals, offsets, region_signs, ids[start : start + BLOCK_CANDIDATES],
+            rows[start : start + BLOCK_CANDIDATES], base,
             lambda r: f"layer {k}, region {text(regions[r], base)}",
-        ):
-            _merge_vertex(discovered, vert, n)
-
-    vertices = dict(carried)
-    for key, vert in discovered.items():
-        if key in vertices:  # cannot happen: carried keys have no layer-k zeros
-            raise DuplicateMismatch(f"sign sequence {text(key, n)} already carried over")
-        vertices[key] = vert
+        )
+        for start in range(0, len(ids), BLOCK_CANDIDATES)
+    ]
+    # carried keys have no layer-k zero and new ones have at least one, so none collide
+    vertices.update(_unique_vertices(*(np.concatenate(part) for part in zip(*blocks)), n))
     return LayerBuildState(k, n, vertices)
 
 

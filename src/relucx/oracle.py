@@ -19,7 +19,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .builder import Vertex
 from .model import ReluNetwork, node_map_value_matrix
 from .signs import pack, unpack
 
@@ -111,11 +110,14 @@ def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:
 
 def perturb_check(
     net: ReluNetwork,
-    vertex: Vertex,
+    key: int,
+    vertex,
     epsilon: float = 1e-4,
     trials: int = 64,
 ) -> bool:
     """Probe a sphere of radius epsilon around a claimed vertex of a full build.
+
+    `vertex` is a `relucx.builder.Vertex` and `key` its packed sign sequence.
 
     Genuine vertices show both signs of every zero coordinate among the
     probes while every nonzero coordinate holds its sign.  Deterministic:
@@ -125,7 +127,7 @@ def perturb_check(
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = np.asarray(vertex.coords, dtype=float) + epsilon * u
     vals = node_map_value_matrix(net, pts)
-    for i, s in enumerate(unpack([vertex.key], net.num_node_maps)[0].tolist()):
+    for i, s in enumerate(unpack([key], net.num_node_maps)[0].tolist()):
         col = vals[:, i]
         if s == 0:
             if not ((col > 0).any() and (col < 0).any()):

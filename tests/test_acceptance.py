@@ -262,13 +262,12 @@ def test_criterion_8_numerical_stability(crit1_states, crit2_analysis, crit3_bui
     checked = 0
     outside = 0
     for net, st in jobs:
-        verts = list(st.vertices.values())
-        if not verts:
+        if not st.vertices:
             continue
-        coords = np.array([v.coords for v in verts])
+        coords = np.array([v.coords for v in st.vertices.values()])
         vals = node_map_value_matrix(net, coords)[:, : st.covered]
-        for row, v in zip(vals, verts):
-            mask = unpack([v.key], st.covered)[0] == 0
+        for row, key in zip(vals, st.vertices):
+            mask = unpack([key], st.covered)[0] == 0
             checked += 1
             if float(np.max(np.abs(row[mask]))) > 1e-6:
                 outside += 1

@@ -25,7 +25,7 @@ from relucx import (
 )
 import relucx.builder
 import relucx.topology
-from relucx.builder import _merge_vertex, _region_incidence, _strict_sign
+from relucx.builder import _region_incidence, _unique_vertices
 from relucx.cli import _analyze
 from relucx.signs import n_zeros, unpack
 from conftest import entries_of, key_of, zero_positions
@@ -191,7 +191,6 @@ def test_vertex_invariants(arch, seed):
     state = build_complex(net)
     assert state.covered == net.num_node_maps
     for key, v in state.vertices.items():
-        assert v.key == key
         assert len(v.zero_set) == net.n0
         assert zero_positions(key, state.covered) == tuple(sorted(v.zero_set))
         assert v.max_residual <= relucx.builder._RESIDUAL_TOL
@@ -217,8 +216,8 @@ def test_closure_purity_and_region_incidence(arch, seed):
         n = state.covered
         assert state.regions == cube_closure(state.vertices, n)[0]
         for region, members in state.incidence.items():
-            assert [v.key for v in members] == [
-                v for v in state.vertices if product(v, region) == region
+            assert members == [
+                v for key, v in state.vertices.items() if product(key, region) == region
             ]
     closure = cube_closure(state.vertices, n)
     for zeros, grade in closure.items():
@@ -352,6 +351,31 @@ def test_dead_unit_build_succeeds():
 # batched vertex search against a per-candidate reference
 
 
+def reference_strict_sign(value, context):
+    if abs(value) < relucx.builder._DEGENERACY_TOL:
+        raise DegenerateNetwork(
+            f"{context}: node map value {value:.3e} within degeneracy tolerance of 0"
+        )
+    return 1 if value > 0 else -1
+
+
+def reference_merge(candidates, n):
+    """The least (residual, condition, coords) vertex of each key's candidates.
+
+    Every candidate must lie within 1e-6 of it, scaled by 1 + the larger norm.
+    """
+    table = {}
+    for key, verts in candidates.items():
+        best = min(verts, key=lambda v: (v.max_residual, v.solve_condition, tuple(v.coords)))
+        for v in verts:
+            scale = 1.0 + max(np.linalg.norm(best.coords), np.linalg.norm(v.coords))
+            gap = float(np.max(np.abs(best.coords - v.coords)))
+            if gap > 1e-6 * scale:
+                raise DuplicateMismatch(f"sign sequence {key} held by two vertices")
+        table[key] = best
+    return table
+
+
 def reference_new_vertices(net, k, state):
     """Layer-k vertices of `extend_layer`, found one candidate system at a time.
 
@@ -404,13 +428,13 @@ def reference_new_vertices(net, k, state):
                     vals_new = new_normals @ x + new_offsets
                     entries = [0 if f in old_subset else region_entries[f] for f in range(base)]
                     entries += [
-                        0 if j in new_subset else _strict_sign(vals_new[j], "reference")
+                        0 if j in new_subset else reference_strict_sign(vals_new[j], "ref")
                         for j in range(n_k)
                     ]
                     zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
-                    vert = Vertex(x, key_of(entries), zero_set, residual, cond)
-                    _merge_vertex(found, vert, base + n_k)
-    return found
+                    vert = Vertex(x, zero_set, residual, cond)
+                    found.setdefault(key_of(entries), []).append(vert)
+    return reference_merge(found, base + n_k)
 
 
 def assert_layers_match_reference(net):
@@ -461,8 +485,8 @@ def reference_first_layer_vertices(net):
         entries = [0] * n1
         for j in range(n1):
             if j not in alpha:
-                entries[j] = _strict_sign(vals[j], f"first layer at {alpha}")
-        vertices[key_of(entries)] = Vertex(x, key_of(entries), alpha, residual, cond)
+                entries[j] = reference_strict_sign(vals[j], f"first layer at {alpha}")
+        vertices[key_of(entries)] = Vertex(x, alpha, residual, cond)
     return vertices
 
 
@@ -654,22 +678,28 @@ def test_extend_layer_contract_errors(hand_net):
         extend_layer(hand_net, 3, state)
 
 
-def test_merge_vertex_duplicate_handling():
-    key = key_of([0, 0, 1])
-    a = Vertex(np.array([0.0, 0.0]), key, (0, 1), 1e-12, 5.0)
-    b = Vertex(np.array([1.0, 1.0]), key, (0, 1), 1e-12, 5.0)
-    table = {key: a}
-    with pytest.raises(DuplicateMismatch, match=r"^sign sequence \(0,0,1\) held by two"):
-        _merge_vertex(table, b, 3)
-    # coincident duplicates keep the better-conditioned discovery, either order
-    c = Vertex(np.array([1e-9, 0.0]), key, (0, 1), 1e-13, 2.0)
-    t1 = {}
-    _merge_vertex(t1, a, 3)
-    _merge_vertex(t1, c, 3)
-    t2 = {}
-    _merge_vertex(t2, c, 3)
-    _merge_vertex(t2, a, 3)
-    assert t1[key] is c and t2[key] is c
+def unique_vertices(candidates):
+    """`_unique_vertices` over (coords, residual, condition) candidates of one key."""
+    coords, residuals, conds = (np.array(column) for column in zip(*candidates))
+    keys = np.full(len(candidates), key_of([0, 0, 1]))
+    zero_sets = np.tile([0, 1], (len(candidates), 1))
+    return _unique_vertices(keys, coords, zero_sets, residuals, conds, 3)
+
+
+def test_duplicates_resolve_independent_of_order():
+    # B and C are each within 1e-6 of A but 1.8e-6 apart: every candidate is
+    # compared with the chosen vertex A, never with another candidate
+    a = ([0.0, 0.0], 1e-13, 2.0)
+    b = ([0.9e-6, 0.0], 1e-12, 5.0)
+    c = ([-0.9e-6, 0.0], 1e-12, 5.0)
+    for order in itertools.permutations((a, b, c)):
+        (vert,) = unique_vertices(order).values()
+        assert vert.coords.tolist() == a[0]
+        assert (vert.max_residual, vert.solve_condition) == a[1:]
+    far = ([2e-6, 0.0], 1e-12, 5.0)
+    for order in ((a, far), (far, a)):
+        with pytest.raises(DuplicateMismatch, match=r"^sign sequence \(0,0,1\) held by two"):
+            unique_vertices(order)
 
 
 # ---------------------------------------------------------------------------
@@ -682,10 +712,11 @@ BLOCK_SIZES = (1, 3, DEFAULT_BLOCK)
 def state_fingerprint(state):
     """Everything a layer state holds, in dict and list order, down to the bits."""
     vertices = [
-        (s, v.key, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
+        (s, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
         for s, v in state.vertices.items()
     ]
-    incidence = [(r, [v.key for v in vs]) for r, vs in state.incidence.items()]
+    keys = {id(v): s for s, v in state.vertices.items()}
+    incidence = [(r, [keys[id(v)] for v in vs]) for r, vs in state.incidence.items()]
     return vertices, incidence
 
 

@@ -139,25 +139,26 @@ def test_arrangement_counts_values():
 
 def test_perturb_check_accepts_built_vertices(hand_net):
     state = build_complex(hand_net)
-    for v in state.vertices.values():
-        assert perturb_check(hand_net, v, epsilon=0.05)
+    for key, v in state.vertices.items():
+        assert perturb_check(hand_net, key, v, epsilon=0.05)
     net = random_init((2, 5, 1), 3)
-    for v in build_complex(net).vertices.values():
-        assert perturb_check(net, v, epsilon=1e-3)
+    for key, v in build_complex(net).vertices.items():
+        assert perturb_check(net, key, v, epsilon=1e-3)
 
 
 def test_perturb_check_rejects_fakes(hand_net):
     state = build_complex(hand_net)
-    v = state.vertices[key_of([0, 1, 0])]
-    off = Vertex(v.coords + np.array([0.3, 0.3]), v.key, v.zero_set, 0.0, 1.0)
-    assert not perturb_check(hand_net, off, epsilon=1e-3)
+    key = key_of([0, 1, 0])
+    v = state.vertices[key]
+    off = Vertex(v.coords + np.array([0.3, 0.3]), v.zero_set, 0.0, 1.0)
+    assert not perturb_check(hand_net, key, off, epsilon=1e-3)
     # claiming a crossing where the map is locally constant-sign also fails
-    fake = Vertex(v.coords, key_of([0, 0, 0]), (0, 1, 2), 0.0, 1.0)
-    assert not perturb_check(hand_net, fake, epsilon=1e-3)
+    fake = Vertex(v.coords, (0, 1, 2), 0.0, 1.0)
+    assert not perturb_check(hand_net, key_of([0, 0, 0]), fake, epsilon=1e-3)
 
 
 def test_perturb_check_deterministic(hand_net):
-    v = next(iter(build_complex(hand_net).vertices.values()))
-    a = perturb_check(hand_net, v, epsilon=0.05, trials=16)
-    b = perturb_check(hand_net, v, epsilon=0.05, trials=16)
+    key, v = next(iter(build_complex(hand_net).vertices.items()))
+    a = perturb_check(hand_net, key, v, epsilon=0.05, trials=16)
+    b = perturb_check(hand_net, key, v, epsilon=0.05, trials=16)
     assert a == b is True
