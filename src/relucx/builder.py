@@ -298,9 +298,12 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
         vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
     solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
-    near = solved & np.any(remaining & (np.abs(vals_old) < _DEGENERACY_TOL), axis=1)
-    inside = solved & np.all(~remaining | (np.sign(vals_old) == signs), axis=1)
-    walk = np.flatnonzero(near | inside)
+    # a remaining map near 0 refuses only a candidate whose strictly signed
+    # remaining maps all match its region: one outside the region is no vertex
+    near_each = remaining & (np.abs(vals_old) < _DEGENERACY_TOL)
+    closed = solved & np.all(near_each | ~remaining | (np.sign(vals_old) == signs), axis=1)
+    near = closed & near_each.any(axis=1)
+    walk = np.flatnonzero(closed)
     conds = np.linalg.cond(mats[walk])
     wids = ids[walk]
     vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]

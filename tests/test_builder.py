@@ -1,6 +1,7 @@
 """Vertex enumeration: frozen hand values, brute-force oracles, invariants."""
 
 import itertools
+import json
 import re
 
 import numpy as np
@@ -22,11 +23,12 @@ from relucx import (
     product,
     random_init,
     region_affine_maps,
+    write_model,
 )
 import relucx.builder
 import relucx.topology
 from relucx.builder import _region_incidence, _unique_vertices
-from relucx.cli import _analyze
+from relucx.cli import _analyze, main
 from relucx.signs import n_zeros, unpack
 from conftest import entries_of, key_of, zero_positions
 from test_signs import reference_cube_completions, sparse_zero_sequences
@@ -418,10 +420,11 @@ def reference_new_vertices(net, k, state):
                     vals_old = old_normals @ x + old_offsets
                     remaining = np.ones(base, dtype=bool)
                     remaining[list(old_subset)] = False
-                    if np.any(np.abs(vals_old[remaining]) < relucx.builder._DEGENERACY_TOL):
-                        raise DegenerateNetwork("remaining node map near 0")
-                    if not np.all(np.sign(vals_old[remaining]) == sign_arr[remaining]):
+                    near = np.abs(vals_old[remaining]) < relucx.builder._DEGENERACY_TOL
+                    if not np.all(near | (np.sign(vals_old[remaining]) == sign_arr[remaining])):
                         continue
+                    if np.any(near):
+                        raise DegenerateNetwork("remaining node map near 0")
                     cond = float(np.linalg.cond(mat))
                     if not np.isfinite(cond) or cond > relucx.builder._COND_MAX:
                         raise DegenerateNetwork("accepted system ill-conditioned")
@@ -572,11 +575,11 @@ def test_batched_search_with_singular_members(monkeypatch):
     assert singular_batches
 
 
-def outside_candidate_net():
+def test_candidate_outside_its_region_is_not_refused(tmp_path, capsys):
     # In the region x > 0, y > 0 both layer-2 maps extend to lines through
-    # (-1, 0).  That candidate lies outside the region, but the extension of
-    # y vanishes there, and the exact checks raise before comparing signs.
-    return ReluNetwork(
+    # (-1, 0), where the extension of y vanishes.  That candidate lies
+    # outside the region (x < 0 there), so it is no vertex and refuses nothing.
+    net = ReluNetwork(
         (2, 2, 2, 1),
         (
             AffineLayer(np.eye(2), np.zeros(2)),
@@ -584,14 +587,45 @@ def outside_candidate_net():
             AffineLayer(np.ones((1, 2)), np.array([-0.5])),
         ),
     )
+    assert_layers_match_reference(net)
+    path = tmp_path / "m.json"
+    write_model(net, str(path))
+    assert main(["oracle-check", "--model", str(path), "--resolution", "400"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regions_builder"] == report["regions_sampled"] == 6
+    assert report["missing"] == report["violations"] == []
 
 
-def test_screen_keeps_candidates_that_raise():
-    net = outside_candidate_net()
-    state = first_layer_vertices(net)
-    for search in (extend_layer, reference_new_vertices):
-        with pytest.raises(DegenerateNetwork, match="remaining node map"):
-            search(net, 2, state)
+REFUSALS = ("existing vertex", "remaining node map", "accepted system", "node map value")
+
+
+def refusal(search, *args):
+    """The kind of DegenerateNetwork that search(*args) raises, or None."""
+    try:
+        search(*args)
+    except DegenerateNetwork as exc:
+        return next(kind for kind in REFUSALS if kind in str(exc))
+
+
+def test_near_remaining_map_refusal_matches_reference(monkeypatch):
+    # a looser degeneracy tolerance puts remaining maps near 0 at some
+    # candidates whose other remaining signs match their region
+    monkeypatch.setattr(relucx.builder, "_DEGENERACY_TOL", 0.01)
+    kinds = []
+    for arch, seed in itertools.product(((2, 6, 6, 1), (3, 6, 6, 1), (2, 8, 8, 1)), range(10)):
+        net = random_init(arch, seed)
+        if refusal(first_layer_vertices, net):
+            continue
+        state = first_layer_vertices(net)
+        for k in range(2, net.depth + 2):
+            got = refusal(extend_layer, net, k, state)
+            if got != "existing vertex":  # step (a), which the reference does not run
+                assert got == refusal(reference_new_vertices, net, k, state)
+            if got:
+                kinds.append(got)
+                break
+            state = extend_layer(net, k, state)
+    assert "remaining node map" in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +783,6 @@ def test_block_size_independence(monkeypatch, arch):
 @pytest.mark.parametrize(
     "make_net,message",
     [
-        (outside_candidate_net, r"^layer 2, region \(1,1\): remaining node map within degeneracy"),
         (concurrent_bent_net, r"^layer 2, region \(-1,1\): node map value"),
     ],
 )
