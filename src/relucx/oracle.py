@@ -109,11 +109,7 @@ def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:
 
 
 def perturb_check(
-    net: ReluNetwork,
-    key: int,
-    vertex,
-    epsilon: float = 1e-4,
-    trials: int = 64,
+    net: ReluNetwork, key: int, vertex, epsilon: float = 1e-4, trials: int = 64
 ) -> bool:
     """Probe a sphere of radius epsilon around a claimed vertex of a full build.
 

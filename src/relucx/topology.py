@@ -117,15 +117,14 @@ def assemble(vertex_keys: Iterable[int], n: int) -> CubicalComplex:
     return cx
 
 
-def _facet_column(key: int, n: int, rows: Mapping[int, int]) -> tuple[int, int]:
-    """Bitmask of present facets (one nonzero entry zeroed) and their count."""
-    col = count = 0
+def _facet_column(key: int, n: int, rows: Mapping[int, int]) -> int:
+    """Bitmask of the present facets (one nonzero entry zeroed)."""
+    col = 0
     for facet in facet_keys(key, n):
         row = rows.get(facet)
         if row is not None:
             col ^= 1 << row
-            count += 1
-    return col, count
+    return col
 
 
 def boundary_matrices(cx: CubicalComplex) -> ChainComplexGF2:
@@ -133,7 +132,7 @@ def boundary_matrices(cx: CubicalComplex) -> ChainComplexGF2:
     boundaries = []
     for k in range(1, len(cx.grading)):
         rows = {key: i for i, key in enumerate(cx.grading[k - 1])}
-        boundaries.append(tuple(_facet_column(key, cx.n, rows)[0] for key in cx.grading[k]))
+        boundaries.append(tuple(_facet_column(key, cx.n, rows) for key in cx.grading[k]))
     return ChainComplexGF2(cx.dim_counts(), tuple(boundaries))
 
 
@@ -153,21 +152,15 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
     n0 = db.n0
     if any(db.grading[n0]):
         raise ValueError("decision boundary cannot contain top-dimensional cells")
-    inf_row = len(db.grading[0])
-    dims = [inf_row + 1]
-    boundaries = []
-    for k in range(1, n0):
-        dims.append(len(db.grading[k]))
-        rows = {key: i for i, key in enumerate(db.grading[k - 1])}
-        cols = []
-        for key in db.grading[k]:
-            col, count = _facet_column(key, db.n, rows)
-            if k == 1:  # each missing endpoint is the point at infinity
-                assert count <= 2, f"edge {text(key, db.n)} has {count} vertex facets"
-                col ^= (2 - count) % 2 << inf_row
-            cols.append(col)
-        boundaries.append(tuple(cols))
-    return ChainComplexGF2(tuple(dims), tuple(boundaries))
+    chain = boundary_matrices(db)
+    inf_row = chain.dims[0]
+    edges = []
+    for key, col in zip(db.grading[1], chain.boundaries[0]):
+        count = col.bit_count()  # an edge with one endpoint ends at infinity
+        assert count <= 2, f"edge {text(key, db.n)} has {count} vertex facets"
+        edges.append(col | (count == 1) << inf_row)
+    dims = (inf_row + 1, *chain.dims[1:n0])
+    return ChainComplexGF2(dims, (tuple(edges), *chain.boundaries[1 : n0 - 1]))
 
 
 def gf2_rank(columns: Sequence[int]) -> int:
