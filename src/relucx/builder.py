@@ -1,26 +1,22 @@
 """Layer-by-layer enumeration of the cells of a ReLU network's input complex.
 
-The complex is built one layer at a time.  The first layer is a plain
-hyperplane arrangement, so its vertices are the solutions of all n_0-subsets
-of the layer's equations.  Each later layer k contributes vertices inside
-every region of the complex built so far: a vertex is the solution of l
-new-layer equations together with n_0 - l equations of earlier layers, the
-old equations being drawn from the zero sets of vertices incident to the
-region, and a solution counts only if the signs of all remaining earlier
-maps at it match the region's signs.  Zeros of the solved equations are
-structural: they are recorded from the system, never thresholded from
-evaluations.
+The complex is built one layer at a time, each layer k the same way: its
+vertices lie inside the regions of the complex built so far.  A vertex is
+the solution of l layer-k equations together with n_0 - l equations of
+earlier layers, drawn from the zero sets of the region's vertices, and it
+counts only if the signs of all remaining earlier maps at it match the
+region's.  Before the first layer the complex is the whole space, one
+region with no vertices, so every n_0-subset of the first layer's equations
+is a candidate and must meet in a vertex.  Zeros of the solved equations
+are structural: they are recorded from the system, never thresholded.
 
 A layer's work is done over arrays.  The maps of all its regions are
-composed by one stacked `matmul`, and the candidate systems of all its
-regions form one index array, in candidate order.  They are solved and
-checked in fixed blocks of BLOCK_CANDIDATES: the exact residual, sign and
-condition checks run as stacked `matmul` and batched `cond`, which give the
-same bits as one call per candidate, and the earliest failing candidate
-refuses the network.  The accepted rows of all blocks are merged in one
-array pass per layer that keeps one vertex per key.  The first layer's
-subsets go through the same blocks: one batched `cond`, one `solve` and one
-`matmul` per block.
+composed by one stacked `matmul`, and its candidate systems form one index
+array.  They are solved and checked in fixed blocks of BLOCK_CANDIDATES
+with one batched `solve`, stacked `matmul` and batched `cond` each, which
+give the same bits as one call per candidate; the earliest failing
+candidate refuses the network.  The accepted rows of all blocks are merged
+in one array pass per layer that keeps one vertex per key.
 
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
 text is made only for error messages.  Regions are never solved for
@@ -163,67 +159,34 @@ def _unique_vertices(keys, xs, zero_sets, residuals, conds, n: int) -> dict[int,
         raise DuplicateMismatch(
             f"sign sequence {text(int(keys[c]), n)} held by two vertices {gaps[c]:.3e} apart"
         )
-    return _vertex_table(distinct, xs[chosen], zero_sets[chosen], residuals[chosen], conds[chosen])
-
-
-def _vertex_table(keys, xs, zero_sets, residuals, conds) -> dict[int, Vertex]:
-    """Vertices from rows of arrays, keyed and ordered by `keys`."""
-    rows = zip(xs, zero_sets.tolist(), residuals.tolist(), conds.tolist())
-    return {key: Vertex(x, tuple(z), r, c) for key, (x, z, r, c) in zip(keys.tolist(), rows)}
+    fields = (zero_sets[chosen].tolist(), residuals[chosen].tolist(), conds[chosen].tolist())
+    rows = zip(distinct.tolist(), xs[chosen], *fields)
+    return {key: Vertex(x, tuple(z), r, c) for key, x, z, r, c in rows}
 
 
 def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
     """Vertices and regions of the first-layer hyperplane arrangement.
 
-    Every n_0-subset of the layer's hyperplanes must meet in a single
-    well-conditioned point and every other first-layer map must be bounded
-    away from zero there; otherwise the arrangement is not generic and the
-    build aborts.
+    The complex before the first layer is the whole space: one region with
+    no vertices and no signs.  Its candidates, all n_0-subsets of the
+    layer's hyperplanes, are solved and checked like a later layer's, in
+    blocks.  Every subset must meet in a single well-conditioned point and
+    every other first-layer map must be bounded away from zero there;
+    otherwise the arrangement is not generic and the build aborts.
     """
-    n0 = net.n0
-    n1 = net.architecture[1]
+    n0, n1 = net.architecture[:2]
     if n0 < 2:
         raise ArchitectureUnsupported(f"input dimension n_0 = {n0}, needs n_0 >= 2")
     if n1 < n0:
         raise ArchitectureUnsupported(
             f"first hidden layer has {n1} units, needs at least n_0 = {n0}"
         )
+    rows = np.array(list(combinations(range(n1), n0)), dtype=np.int32)
     layer = net.layers[0]
-    alphas = list(combinations(range(n1), n0))
-    vertices: dict[int, Vertex] = {}
-    for start in range(0, len(alphas), BLOCK_CANDIDATES):
-        vertices.update(_first_layer_block(layer, alphas[start : start + BLOCK_CANDIDATES]))
-    return LayerBuildState(1, n1, vertices)
-
-
-def _first_layer_block(layer, alphas) -> dict[int, Vertex]:
-    """Solve and check one block of first-layer subsets; return their vertices.
-
-    Batched `cond`, `solve` and stacked `matmul` give the same bits as one
-    call per subset.  If a subset fails, the earliest failing one raises
-    DegenerateNetwork with the check it fails first: condition, then
-    residual, then a free map near zero.
-    """
-    weights, bias = layer.weights, layer.bias
-    subsets = np.array(alphas)
-    conds = np.linalg.cond(weights[subsets])
-    well = conds <= _COND_MAX  # False for inf and NaN
-    xs = np.full(subsets.shape, np.nan)
-    if well.any():
-        xs[well] = np.linalg.solve(weights[subsets[well]], -bias[subsets[well], None])[..., 0]
-    vals = (weights @ xs[..., None])[..., 0] + bias
-    residuals = np.max(np.abs(np.take_along_axis(vals, subsets, axis=1)), axis=1)
-    free = np.ones(vals.shape, dtype=bool)
-    np.put_along_axis(free, subsets, False, axis=1)
-    _refuse(
-        (~well, lambda i: f"first layer: subsystem {alphas[i]} has condition estimate "
-         f"{conds[i]:.3e}"),
-        (residuals > _RESIDUAL_TOL, lambda i: f"first layer: subsystem {alphas[i]} solved "
-         f"with residual {residuals[i]:.3e}"),
-        _near_check(vals, free, lambda i: f"first layer at {alphas[i]}"),
-    )
-    keys = pack(np.where(free, np.where(vals > 0, 1, -1), 0))
-    return _vertex_table(keys, xs, subsets, residuals, conds)
+    return LayerBuildState(1, n1, _solve_candidates(
+        layer.weights[None], layer.bias[None], np.zeros((1, 0), dtype=np.int8),
+        np.zeros(len(rows), dtype=np.int32), rows, 0, lambda r, alpha: f"first layer at {alpha}",
+    ))
 
 
 def _layer_candidates(
@@ -266,11 +229,13 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     """Solve and exactly check one block of candidates; return the accepted ones.
 
     `normals` (R, m, n_0), `offsets` (R, m) and `region_signs` (R, base) hold
-    the layer's region maps and signs; candidate c solves rows `rows[c]` of
-    region `ids[c]`.  The accepted candidates come back as arrays of keys,
-    coordinates, zero sets, residuals and condition estimates, in candidate
-    order.  If a candidate fails a check, the earliest failing one raises
-    DegenerateNetwork, prefixed `context(region)`.
+    the region maps and signs; candidate c solves rows `rows[c]` of region
+    `ids[c]`.  A candidate that solves to no point of its region is dropped,
+    but base 0 means the one region is the whole space, where every
+    candidate must meet in one well-conditioned point.  The accepted ones
+    come back as arrays of keys, coordinates, zero sets, residuals and
+    condition estimates, in candidate order.  The earliest failing candidate
+    raises DegenerateNetwork, prefixed `context(region, rows)`.
     """
     mats = normals[ids[:, None], rows]
     rhss = offsets[ids[:, None], rows]
@@ -297,23 +262,36 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
         vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
-    solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
-    # a remaining map near 0 refuses only a candidate whose strictly signed
-    # remaining maps all match its region: one outside the region is no vertex
-    near_each = remaining & (np.abs(vals_old) < _DEGENERACY_TOL)
-    closed = solved & np.all(near_each | ~remaining | (np.sign(vals_old) == signs), axis=1)
-    near = closed & near_each.any(axis=1)
-    walk = np.flatnonzero(closed)
+        solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
+        # a remaining map near 0 refuses only a candidate whose strictly signed
+        # remaining maps all match its region: one outside the region is no vertex
+        near_each = remaining & (np.abs(vals_old) < _DEGENERACY_TOL)
+        closed = solved & np.all(near_each | ~remaining | (np.sign(vals_old) == signs), axis=1)
+        near = closed & near_each.any(axis=1)
+        # the whole space (base 0) checks every candidate, the later layers the closed ones
+        walk = np.flatnonzero(closed) if base else np.arange(len(rows))
+        wids = ids[walk]
+        vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
     conds = np.linalg.cond(mats[walk])
-    wids = ids[walk]
-    vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
     free = unsolved[walk, base:]
+
+    def subset(i):
+        return tuple(rows[walk[i]].tolist())
+
+    def where(i):
+        return context(wids[i], subset(i))
+
+    def system(i):
+        return f"{where(i)}: accepted system" if base else f"first layer: subsystem {subset(i)}"
+
+    # a later layer walks only solved candidates, so only the first can fail on residual
     _refuse(
-        (near[walk], lambda i: f"{context(wids[i])}: remaining node map within degeneracy "
+        (near[walk], lambda i: f"{where(i)}: remaining node map within degeneracy "
          "tolerance of 0 at a candidate vertex"),
-        (~(conds <= _COND_MAX), lambda i: f"{context(wids[i])}: accepted system has "
-         f"condition estimate {conds[i]:.3e}"),
-        _near_check(vals_new, free, lambda i: context(wids[i])),
+        (~(conds <= _COND_MAX), lambda i: f"{system(i)} has condition estimate {conds[i]:.3e}"),
+        (residual[walk] > _RESIDUAL_TOL, lambda i: f"{system(i)} solved with residual "
+         f"{residual[walk[i]]:.3e}"),
+        _near_check(vals_new, free, where),
     )
     tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
     keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails]))
@@ -321,14 +299,25 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     return keys, xs[walk], np.sort(rows[walk], axis=1), residual[walk], conds
 
 
+def _solve_candidates(normals, offsets, region_signs, ids, rows, base, context):
+    """One vertex per key of all candidates, solved BLOCK_CANDIDATES at a time.
+
+    Takes the arguments of `_block_vertices`; the vertices come in key order.
+    """
+    cuts = range(BLOCK_CANDIDATES, len(ids), BLOCK_CANDIDATES)
+    blocks = [
+        _block_vertices(normals, offsets, region_signs, block_ids, block_rows, base, context)
+        for block_ids, block_rows in zip(np.split(ids, cuts), np.split(rows, cuts))
+    ]
+    return _unique_vertices(*(np.concatenate(part) for part in zip(*blocks)), normals.shape[1])
+
+
 def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuildState:
     """Extend the complex over the node maps of layer k (k = depth+1 is the output map).
 
     Existing vertices keep their coordinates and gain strict signs for the new
-    maps.  New vertices are solved for all regions at once, BLOCK_CANDIDATES
-    candidate systems at a time; duplicates are resolved in one pass over the
-    whole layer, independent of candidate order, so any order of the
-    candidates gives the same state.
+    maps.  New vertices are solved for all regions at once, in blocks, and
+    any order of the candidates gives the same state.
     """
     if k != state.layer + 1:
         raise ValueError(f"state covers layers 1..{state.layer}, cannot extend to layer {k}")
@@ -355,16 +344,11 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
     ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
     region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
-    blocks = [
-        _block_vertices(
-            normals, offsets, region_signs, ids[start : start + BLOCK_CANDIDATES],
-            rows[start : start + BLOCK_CANDIDATES], base,
-            lambda r: f"layer {k}, region {text(regions[r], base)}",
-        )
-        for start in range(0, len(ids), BLOCK_CANDIDATES)
-    ]
     # carried keys have no layer-k zero and new ones have at least one, so none collide
-    vertices.update(_unique_vertices(*(np.concatenate(part) for part in zip(*blocks)), n))
+    vertices.update(_solve_candidates(
+        normals, offsets, region_signs, ids, rows, base,
+        lambda r, _: f"layer {k}, region {text(regions[r], base)}",
+    ))
     return LayerBuildState(k, n, vertices)
 
 

@@ -526,7 +526,7 @@ def test_batched_first_layer_matches_reference(monkeypatch, arch, case):
             assert str(got.value) == str(exc)
             continue
         got = first_layer_vertices(net).vertices
-        assert list(got) == list(want)
+        assert got.keys() == want.keys()
         for key, v in want.items():
             g = got[key]
             assert g.coords.tobytes() == v.coords.tobytes() and g.zero_set == v.zero_set
@@ -632,6 +632,9 @@ def test_near_remaining_map_refusal_matches_reference(monkeypatch):
 # failure modes
 
 
+FIRST_LAYER_COND = r"^first layer: subsystem \(0, 1\) has condition estimate "
+
+
 def test_duplicate_hyperplane_is_degenerate():
     net = ReluNetwork(
         (2, 3, 1),
@@ -640,7 +643,7 @@ def test_duplicate_hyperplane_is_degenerate():
             AffineLayer(np.ones((1, 3)), np.ones(1)),
         ),
     )
-    with pytest.raises(DegenerateNetwork):
+    with pytest.raises(DegenerateNetwork, match=FIRST_LAYER_COND):
         first_layer_vertices(net)
 
 
@@ -652,7 +655,20 @@ def test_near_parallel_hyperplanes_exceed_cond_max():
             AffineLayer(np.ones((1, 2)), np.ones(1)),
         ),
     )
-    with pytest.raises(DegenerateNetwork):
+    with pytest.raises(DegenerateNetwork, match=FIRST_LAYER_COND):
+        first_layer_vertices(net)
+
+
+def test_zero_first_layer_row_is_degenerate():
+    # row 3 is the zero map: every subsystem drawing on it is singular
+    weights = random_init((3, 4, 1), 0).layers[0].weights.copy()
+    weights[3] = 0.0
+    net = ReluNetwork(
+        (3, 4, 1), (AffineLayer(weights, np.ones(4)), AffineLayer(np.ones((1, 4)), np.ones(1)))
+    )
+    with pytest.raises(
+        DegenerateNetwork, match=r"^first layer: subsystem \(0, 1, 3\) has condition estimate "
+    ):
         first_layer_vertices(net)
 
 
@@ -780,10 +796,18 @@ def test_block_size_independence(monkeypatch, arch):
     assert outcomes[2] == outcomes[0]
 
 
+def parallel_late_rows_net():
+    # row 19 is twice row 14: subset (14, 19), in the second block of 128, is singular
+    net = random_init((2, 20, 1), 0)
+    net.layers[0].weights[19] = 2 * net.layers[0].weights[14]
+    return net
+
+
 @pytest.mark.parametrize(
     "make_net,message",
     [
         (concurrent_bent_net, r"^layer 2, region \(-1,1\): node map value"),
+        (parallel_late_rows_net, r"^first layer: subsystem \(14, 19\) has condition estimate "),
     ],
 )
 def test_raise_is_block_size_independent(monkeypatch, make_net, message):
