@@ -17,7 +17,6 @@ from .builder import (
     DegenerateNetwork,
     DuplicateMismatch,
     LayerBuildState,
-    Vertex,
     build_complex,
     extend_layer,
     first_layer_vertices,

@@ -19,12 +19,12 @@ candidate refuses the network.  The accepted rows of all blocks are merged
 in one array pass per layer that keeps one vertex per key.
 
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
-text is made only for error messages.  Regions are never solved for
-directly; a state's region incidence maps each all-nonzero completion of a
-vertex key (a region) to the vertices in its closure.  It is computed on
-first read, in one pass over the keys, so the last layer's is built only if
-something reads it.  Only `topology.assemble` builds the full cube closure,
-once per network.
+text is made only for error messages.  A state's vertices are one table of
+the arrays the solves produce (keys, coordinates, zero sets, residuals),
+and its region incidence maps each all-nonzero completion of a vertex key (a
+region) to the rows of the vertices in its closure, computed on first read,
+so the last layer's is built only if something reads it.  Only
+`topology.assemble` builds the full cube closure, once per network.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .signs import completion_keys, pack, text, unpack
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
 __all__ = [
-    "Vertex",
     "LayerBuildState",
     "DegenerateNetwork",
     "DuplicateMismatch",
@@ -80,25 +79,20 @@ _COND_MAX = 1e12
 BLOCK_CANDIDATES = 128
 
 
-@dataclass(frozen=True, eq=False)
-class Vertex:
-    coords: np.ndarray
-    zero_set: tuple[int, ...]  # flat node indices of the solved equations
-    max_residual: float
-    solve_condition: float
-
-
 @dataclass
 class LayerBuildState:
     """Complex data after processing layers 1..layer (sign prefixes of length covered)."""
 
     layer: int
     covered: int
-    vertices: dict[int, Vertex]
+    vertices: list[int]  # the keys; row i of the columns below is vertex vertices[i]
+    coords: np.ndarray  # (V, n_0)
+    zero_sets: np.ndarray  # (V, n_0): flat indices of the solved node maps, ascending
+    residuals: np.ndarray  # (V,)
 
     @cached_property
-    def incidence(self) -> dict[int, list[Vertex]]:
-        """Region -> incident vertices, computed from `vertices` on first read."""
+    def incidence(self) -> dict[int, list[int]]:
+        """Region -> rows of its incident vertices, computed from `vertices` on first read."""
         return _region_incidence(self.vertices, self.covered)
 
     @property
@@ -107,25 +101,28 @@ class LayerBuildState:
         return self.incidence.keys()
 
 
-def _region_incidence(vertices: dict[int, Vertex], n: int) -> dict[int, list[Vertex]]:
-    """Map each all-nonzero completion (region) of the n-entry vertex keys to its vertices."""
-    incidence: defaultdict[int, list[Vertex]] = defaultdict(list)
+def _region_incidence(keys: list[int], n: int) -> dict[int, list[int]]:
+    """Map each all-nonzero completion (region) of the n-entry keys to the rows holding it."""
+    incidence: defaultdict[int, list[int]] = defaultdict(list)
     patterns: dict[int, list[int]] = {}
-    for key, vert in vertices.items():
+    for row, key in enumerate(keys):
         for region in completion_keys(key, n, (-1, 1), patterns):
-            incidence[region].append(vert)
+            incidence[region].append(row)
     return dict(incidence)
 
 
-def _near_check(vals: np.ndarray, free, context):
-    """The `_refuse` check for a free value within _DEGENERACY_TOL of 0 in a row of `vals`."""
-    near = free & (np.abs(vals) < _DEGENERACY_TOL)
+def _sign_check(vals: np.ndarray, free, context):
+    """The `_refuse` check for a free value in a row of `vals` near 0 or not finite."""
+    size = np.abs(vals)
+    bad = free & ~((size >= _DEGENERACY_TOL) & (size < np.inf))
 
     def message(i):
-        value = vals[i][near[i]][0]
-        return f"{context(i)}: node map value {value:.3e} within degeneracy tolerance of 0"
+        value = vals[i][bad[i]][0]
+        if abs(value) < _DEGENERACY_TOL:
+            return f"{context(i)}: node map value {value:.3e} within degeneracy tolerance of 0"
+        return f"{context(i)}: node map value {value} is not finite"
 
-    return near.any(axis=1), message
+    return bad.any(axis=1), message
 
 
 def _refuse(*checks) -> None:
@@ -141,12 +138,13 @@ def _refuse(*checks) -> None:
         raise DegenerateNetwork(checks[int(masks[:, row].argmax())][1](row))
 
 
-def _unique_vertices(keys, xs, zero_sets, residuals, conds, n: int) -> dict[int, Vertex]:
+def _unique_vertices(keys, xs, zero_sets, residuals, conds, n: int):
     """One vertex per distinct key: its least (residual, condition, coords) candidate.
 
     Every candidate is compared with the vertex chosen for its key, so the
     outcome does not depend on the candidates' order; one farther from it
     than _MERGE_TOL, scaled by 1 + the larger norm, raises DuplicateMismatch.
+    Returns the table's columns in key order: keys, coords, zero sets, residuals.
     """
     distinct, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
     chosen = np.lexsort((*xs.T[::-1], conds, residuals, group))[np.cumsum(counts) - counts]
@@ -159,9 +157,7 @@ def _unique_vertices(keys, xs, zero_sets, residuals, conds, n: int) -> dict[int,
         raise DuplicateMismatch(
             f"sign sequence {text(int(keys[c]), n)} held by two vertices {gaps[c]:.3e} apart"
         )
-    fields = (zero_sets[chosen].tolist(), residuals[chosen].tolist(), conds[chosen].tolist())
-    rows = zip(distinct.tolist(), xs[chosen], *fields)
-    return {key: Vertex(x, tuple(z), r, c) for key, x, z, r, c in rows}
+    return distinct.tolist(), xs[chosen], zero_sets[chosen], residuals[chosen]
 
 
 def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
@@ -183,7 +179,7 @@ def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
         )
     rows = np.array(list(combinations(range(n1), n0)), dtype=np.int32)
     layer = net.layers[0]
-    return LayerBuildState(1, n1, _solve_candidates(
+    return LayerBuildState(1, n1, *_solve_candidates(
         layer.weights[None], layer.bias[None], np.zeros((1, 0), dtype=np.int8),
         np.zeros(len(rows), dtype=np.int32), rows, 0, lambda r, alpha: f"first layer at {alpha}",
     ))
@@ -198,13 +194,14 @@ def _layer_candidates(
     the layer's rows, then the (n_0 - l)-subsets of the region's vertex zero
     sets in sorted order; each row lists its new-layer rows first.
     """
+    zero_sets = state.zero_sets.tolist()
     news, counts, olds = [], [], []
     for ell in range(1, min(n0, n_k) + 1):
         news.append(base + np.array(list(combinations(range(n_k), ell)), dtype=np.int32))
         count, flat = [], []
         for region in regions:
             members = state.incidence[region]
-            subsets = sorted({s for v in members for s in combinations(v.zero_set, n0 - ell)})
+            subsets = sorted({s for i in members for s in combinations(zero_sets[i], n0 - ell)})
             count.append(len(subsets))
             for subset in subsets:  # flattened, so no subset tuple outlives its region
                 flat.extend(subset)
@@ -263,11 +260,13 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
         vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
         solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
-        # a remaining map near 0 refuses only a candidate whose strictly signed
-        # remaining maps all match its region: one outside the region is no vertex
-        near_each = remaining & (np.abs(vals_old) < _DEGENERACY_TOL)
-        closed = solved & np.all(near_each | ~remaining | (np.sign(vals_old) == signs), axis=1)
-        near = closed & near_each.any(axis=1)
+        # a remaining map near 0 or not finite refuses only a candidate whose strictly
+        # signed remaining maps all match its region: one outside the region is no vertex
+        size = np.abs(vals_old)
+        unsure = remaining & ~((size >= _DEGENERACY_TOL) & (size < np.inf))
+        closed = solved & np.all(unsure | ~remaining | (np.sign(vals_old) == signs), axis=1)
+        near = closed & (remaining & (size < _DEGENERACY_TOL)).any(axis=1)
+        lost = closed & unsure.any(axis=1)
         # the whole space (base 0) checks every candidate, the later layers the closed ones
         walk = np.flatnonzero(closed) if base else np.arange(len(rows))
         wids = ids[walk]
@@ -288,10 +287,11 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     _refuse(
         (near[walk], lambda i: f"{where(i)}: remaining node map within degeneracy "
          "tolerance of 0 at a candidate vertex"),
+        (lost[walk], lambda i: f"{where(i)}: remaining node map not finite at a candidate vertex"),
         (~(conds <= _COND_MAX), lambda i: f"{system(i)} has condition estimate {conds[i]:.3e}"),
         (residual[walk] > _RESIDUAL_TOL, lambda i: f"{system(i)} solved with residual "
          f"{residual[walk[i]]:.3e}"),
-        _near_check(vals_new, free, where),
+        _sign_check(vals_new, free, where),
     )
     tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
     keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails]))
@@ -302,7 +302,7 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
 def _solve_candidates(normals, offsets, region_signs, ids, rows, base, context):
     """One vertex per key of all candidates, solved BLOCK_CANDIDATES at a time.
 
-    Takes the arguments of `_block_vertices`; the vertices come in key order.
+    Takes the arguments of `_block_vertices`; returns `_unique_vertices`' columns.
     """
     cuts = range(BLOCK_CANDIDATES, len(ids), BLOCK_CANDIDATES)
     blocks = [
@@ -315,9 +315,9 @@ def _solve_candidates(normals, offsets, region_signs, ids, rows, base, context):
 def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuildState:
     """Extend the complex over the node maps of layer k (k = depth+1 is the output map).
 
-    Existing vertices keep their coordinates and gain strict signs for the new
-    maps.  New vertices are solved for all regions at once, in blocks, and
-    any order of the candidates gives the same state.
+    Existing vertices keep their rows and gain strict signs for the new maps.
+    New vertices are solved for all regions at once, in blocks, and appended
+    in key order; any order of the candidates gives the same state.
     """
     if k != state.layer + 1:
         raise ValueError(f"state covers layers 1..{state.layer}, cannot extend to layer {k}")
@@ -328,28 +328,31 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
     n = base + n_k
 
     # (a) carry existing vertices over, extending their keys by evaluation
-    olds = list(state.vertices)
-    coords = np.array([v.coords for v in state.vertices.values()])
-    vals = node_map_value_matrix(net, coords)[:, base:n]
+    olds = state.vertices
+    vals = node_map_value_matrix(net, state.coords)[:, base:n]
     _refuse(
-        _near_check(vals, True, lambda i: f"layer {k} at existing vertex {text(olds[i], base)}")
+        _sign_check(vals, True, lambda i: f"layer {k} at existing vertex {text(olds[i], base)}")
     )
     tails = pack(np.where(vals > 0, 1, -1)).tolist()
-    vertices = {
-        key << 2 * n_k | tail: vert for (key, vert), tail in zip(state.vertices.items(), tails)
-    }
+    keys = [key << 2 * n_k | tail for key, tail in zip(olds, tails)]
 
     # (b) solve for new vertices inside every region of the current complex
     regions = sorted(state.regions)
     ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
     region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
+
+    def where(r, subset=None):
+        return f"layer {k}, region {text(regions[r], base)}"
+
+    finite = np.isfinite(normals).all(axis=(1, 2)) & np.isfinite(offsets).all(axis=1)
+    _refuse((~finite, lambda r: f"{where(r)}: region map has a non-finite entry"))
+    new_keys, *new_columns = _solve_candidates(
+        normals, offsets, region_signs, ids, rows, base, where
+    )
     # carried keys have no layer-k zero and new ones have at least one, so none collide
-    vertices.update(_solve_candidates(
-        normals, offsets, region_signs, ids, rows, base,
-        lambda r, _: f"layer {k}, region {text(regions[r], base)}",
-    ))
-    return LayerBuildState(k, n, vertices)
+    columns = zip((state.coords, state.zero_sets, state.residuals), new_columns)
+    return LayerBuildState(k, n, keys + new_keys, *map(np.concatenate, columns))
 
 
 def build_complex(net: ReluNetwork) -> LayerBuildState:

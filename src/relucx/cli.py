@@ -305,20 +305,12 @@ def _out_error(exc: OSError) -> int:
 
 
 def _write_build_outputs(out: Path, state, cx, report) -> None:
+    columns = (state.coords.tolist(), state.zero_sets.tolist(), state.residuals.tolist())
     with open(out / "vertices.jsonl", "w") as fh:
-        for key in sorted(state.vertices):
-            v = state.vertices[key]
-            fh.write(
-                json.dumps(
-                    {
-                        "coords": [float(c) for c in v.coords],
-                        "signs": text(key, cx.n),
-                        "zero_set": list(v.zero_set),
-                        "residual": v.max_residual,
-                    }
-                )
-                + "\n"
-            )
+        for key, coords, zero_set, residual in sorted(zip(state.vertices, *columns)):
+            signs = text(key, cx.n)
+            row = {"coords": coords, "signs": signs, "zero_set": zero_set, "residual": residual}
+            fh.write(json.dumps(row) + "\n")
     with open(out / "complex.jsonl", "w") as fh:
         for key in sorted(cx.cells):
             dim = cx.n0 - n_zeros(key, cx.n)
@@ -351,7 +343,7 @@ def cmd_build(args) -> int:
         _write_build_outputs(out, state, cx, report)
         if args.svg:
             if net.n0 == 2:
-                coords = {s: v.coords for s, v in state.vertices.items()}
+                coords = dict(zip(state.vertices, state.coords))
                 render_db_svg(net, coords, db, (args.box[0], args.box[1]), str(out / "db.svg"))
             else:
                 print("warning: --svg ignored, rendering needs n_0 = 2", file=sys.stderr)

@@ -97,17 +97,18 @@ class ReluNetwork:
 
 
 def node_map_value_matrix(net: ReluNetwork, points: np.ndarray) -> np.ndarray:
-    """Node map values at many points; rows are points, columns node maps."""
+    """Node map values, rows points and columns node maps; overflow gives inf or nan quietly."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != net.n0:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {net.n0}")
     cols = []
     h = pts
-    for t, layer in enumerate(net.layers):
-        z = h @ layer.weights.T + layer.bias
-        cols.append(z)
-        if t < len(net.layers) - 1:
-            h = np.maximum(z, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, layer in enumerate(net.layers):
+            z = h @ layer.weights.T + layer.bias
+            cols.append(z)
+            if t < len(net.layers) - 1:
+                h = np.maximum(z, 0.0)
     return np.concatenate(cols, axis=1)
 
 
@@ -146,22 +147,24 @@ def stacked_region_affine_maps(
     """`region_affine_maps` of R regions at once, unchecked: shapes (R, m, n_0), (R, m).
 
     Row r of the boolean `active` is region r's signs, true for +1.  Each
-    layer is one stacked `matmul`, bit-equal to composing each region alone.
+    layer is one stacked `matmul`, bit-equal to composing each region alone;
+    an entry beyond the float range comes out inf or nan, without a warning.
     """
     mat = net.layers[0].weights.astype(float)
     off = net.layers[0].bias.astype(float)
     normals = [np.broadcast_to(mat, (len(active), *mat.shape))]
     offsets = [np.broadcast_to(off, (len(active), *off.shape))]
     pos = 0
-    for layer_no in range(1, upto_layer):
-        width = net.architecture[layer_no]
-        mask = active[:, pos : pos + width].astype(float)
-        pos += width
-        nxt = net.layers[layer_no]
-        mat = nxt.weights @ (mask[:, :, None] * mat)
-        off = (nxt.weights @ (mask * off)[:, :, None])[..., 0] + nxt.bias
-        normals.append(mat)
-        offsets.append(off)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer_no in range(1, upto_layer):
+            width = net.architecture[layer_no]
+            mask = active[:, pos : pos + width].astype(float)
+            pos += width
+            nxt = net.layers[layer_no]
+            mat = nxt.weights @ (mask[:, :, None] * mat)
+            off = (nxt.weights @ (mask * off)[:, :, None])[..., 0] + nxt.bias
+            normals.append(mat)
+            offsets.append(off)
     return np.concatenate(normals, axis=1), np.concatenate(offsets, axis=1)
 
 

@@ -109,11 +109,12 @@ def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:
 
 
 def perturb_check(
-    net: ReluNetwork, key: int, vertex, epsilon: float = 1e-4, trials: int = 64
+    net: ReluNetwork, key: int, coords, epsilon: float = 1e-4, trials: int = 64
 ) -> bool:
     """Probe a sphere of radius epsilon around a claimed vertex of a full build.
 
-    `vertex` is a `relucx.builder.Vertex` and `key` its packed sign sequence.
+    The vertex is at `coords` with packed sign sequence `key`, as in row i
+    of a built state: `state.coords[i]` and `state.vertices[i]`.
 
     Genuine vertices show both signs of every zero coordinate among the
     probes while every nonzero coordinate holds its sign.  Deterministic:
@@ -121,7 +122,7 @@ def perturb_check(
     """
     u = np.random.default_rng(0).standard_normal((trials, net.n0))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    pts = np.asarray(vertex.coords, dtype=float) + epsilon * u
+    pts = np.asarray(coords, dtype=float) + epsilon * u
     vals = node_map_value_matrix(net, pts)
     for i, s in enumerate(unpack([key], net.num_node_maps)[0].tolist()):
         col = vals[:, i]

@@ -264,8 +264,7 @@ def test_criterion_8_numerical_stability(crit1_states, crit2_analysis, crit3_bui
     for net, st in jobs:
         if not st.vertices:
             continue
-        coords = np.array([v.coords for v in st.vertices.values()])
-        vals = node_map_value_matrix(net, coords)[:, : st.covered]
+        vals = node_map_value_matrix(net, st.coords)[:, : st.covered]
         for row, key in zip(vals, st.vertices):
             mask = unpack([key], st.covered)[0] == 0
             checked += 1

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from relucx import (
     DegenerateNetwork,
     DuplicateMismatch,
     ReluNetwork,
-    Vertex,
     build_complex,
     cube_closure,
     extend_layer,
@@ -34,6 +34,11 @@ from conftest import entries_of, key_of, zero_positions
 from test_signs import reference_cube_completions, sparse_zero_sequences
 
 
+def rows_by_key(state):
+    """The row of each key in a state's vertex table."""
+    return {key: i for i, key in enumerate(state.vertices)}
+
+
 # ---------------------------------------------------------------------------
 # hand example: identity first layer, output relu(x) + relu(y) - 1
 
@@ -46,11 +51,11 @@ def test_hand_example_vertices(hand_net):
         key_of([0, 1, 0]): ((0.0, 1.0), (0, 2)),
         key_of([1, 0, 0]): ((1.0, 0.0), (1, 2)),
     }
-    assert set(state.vertices) == set(expect)
+    rows = rows_by_key(state)
+    assert rows.keys() == expect.keys()
     for signs, (coords, zero_set) in expect.items():
-        v = state.vertices[signs]
-        assert np.allclose(v.coords, coords, atol=1e-12)
-        assert tuple(sorted(v.zero_set)) == zero_set
+        assert np.allclose(state.coords[rows[signs]], coords, atol=1e-12)
+        assert tuple(state.zero_sets[rows[signs]].tolist()) == zero_set
 
 
 def test_hand_example_closure_counts(hand_net):
@@ -72,9 +77,8 @@ def test_identity_arrangement():
         (AffineLayer(np.eye(2), np.zeros(2)), AffineLayer(np.ones((1, 2)), np.ones(1))),
     )
     state = first_layer_vertices(net)
-    assert list(state.vertices) == [key_of([0, 0])]
-    v = state.vertices[key_of([0, 0])]
-    assert np.allclose(v.coords, [0.0, 0.0], atol=1e-12)
+    assert state.vertices == [key_of([0, 0])]
+    assert np.allclose(state.coords[0], [0.0, 0.0], atol=1e-12)
     assert state.regions == {key_of(e) for e in ([1, 1], [1, -1], [-1, 1], [-1, -1])}
 
 
@@ -108,7 +112,7 @@ def test_first_layer_coords_match_cramer_oracle():
         x = (-b[i] * w[j, 1] + b[j] * w[i, 1]) / det
         y = (-w[i, 0] * b[j] + w[j, 0] * b[i]) / det
         oracle.append((x, y))
-    got = sorted((float(v.coords[0]), float(v.coords[1])) for v in first_layer_vertices(net).vertices.values())
+    got = sorted(map(tuple, first_layer_vertices(net).coords.tolist()))
     for (gx, gy), (ox, oy) in zip(got, sorted(oracle)):
         assert abs(gx - ox) < 1e-9 and abs(gy - oy) < 1e-9
 
@@ -178,26 +182,46 @@ def test_full_build_matches_brute_force(seed):
     net = random_init((2, 5, 1), seed)
     state = build_complex(net)
     oracle = brute_force_full_vertices(net)
-    assert set(state.vertices) == set(oracle)
+    rows = rows_by_key(state)
+    assert rows.keys() == oracle.keys()
     for signs, x in oracle.items():
-        assert np.allclose(state.vertices[signs].coords, x, atol=1e-8)
+        assert np.allclose(state.coords[rows[signs]], x, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # structural invariants of built states
 
 
-@pytest.mark.parametrize("arch,seed", [((2, 5, 1), 1), ((2, 4, 4, 1), 9), ((3, 5, 1), 2)])
+@pytest.mark.parametrize(
+    "arch,seed", [((2, 5, 1), 1), ((2, 4, 4, 1), 9), ((3, 5, 1), 2), ((2, 20, 12, 1), 0)]
+)
 def test_vertex_invariants(arch, seed):
+    # (2,20,12,1) has 33 node maps, so its last keys are wider than 64 bits
     net = random_init(arch, seed)
-    state = build_complex(net)
+    states = [first_layer_vertices(net)]
+    for k in range(2, net.depth + 2):
+        states.append(extend_layer(net, k, states[-1]))
+    for prev, state in zip([None] + states, states):
+        # the four columns are row-aligned, one row per key
+        size = len(state.vertices)
+        assert all(type(key) is int for key in state.vertices)
+        assert state.coords.shape == state.zero_sets.shape == (size, net.n0)
+        assert state.residuals.shape == (size,)
+        for key, zero_set in zip(state.vertices, state.zero_sets.tolist()):
+            assert zero_positions(key, state.covered) == tuple(zero_set)
+        assert (state.residuals <= relucx.builder._RESIDUAL_TOL).all()
+        carried = len(prev.vertices) if prev else 0
+        if prev:
+            # carried rows keep their place, coordinates, zero sets and residuals
+            shift = 2 * (state.covered - prev.covered)
+            assert [key >> shift for key in state.vertices[:carried]] == prev.vertices
+            assert state.coords[:carried].tobytes() == prev.coords.tobytes()
+            assert state.zero_sets[:carried].tobytes() == prev.zero_sets.tobytes()
+            assert state.residuals[:carried].tobytes() == prev.residuals.tobytes()
+        # the new rows follow in key order
+        assert state.vertices[carried:] == sorted(state.vertices[carried:])
     assert state.covered == net.num_node_maps
-    for key, v in state.vertices.items():
-        assert len(v.zero_set) == net.n0
-        assert zero_positions(key, state.covered) == tuple(sorted(v.zero_set))
-        assert v.max_residual <= relucx.builder._RESIDUAL_TOL
-        assert np.isfinite(v.solve_condition)
-    coords = np.array([v.coords for v in state.vertices.values()])
+    coords = state.coords
     if len(coords) > 1:
         gaps = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
         gaps[np.diag_indices(len(coords))] = np.inf
@@ -219,7 +243,7 @@ def test_closure_purity_and_region_incidence(arch, seed):
         assert state.regions == cube_closure(state.vertices, n)[0]
         for region, members in state.incidence.items():
             assert members == [
-                v for key, v in state.vertices.items() if product(key, region) == region
+                i for i, key in enumerate(state.vertices) if product(key, region) == region
             ]
     closure = cube_closure(state.vertices, n)
     for zeros, grade in closure.items():
@@ -228,12 +252,12 @@ def test_closure_purity_and_region_incidence(arch, seed):
             assert any(product(v, cell) == cell for v in state.vertices)
 
 
-def reference_region_incidence(vertices, n):
-    """The incidence over `reference_cube_completions` of the n-entry vertex keys."""
+def reference_region_incidence(keys, n):
+    """The incidence over `reference_cube_completions` of the n-entry vertex keys, as rows."""
     incidence = {}
-    for key, vert in vertices.items():
+    for row, key in enumerate(keys):
         for region in reference_cube_completions(key, n, values=(-1, 1)):
-            incidence.setdefault(region, []).append(vert)
+            incidence.setdefault(region, []).append(row)
     return incidence
 
 
@@ -245,10 +269,9 @@ def reference_region_incidence(vertices, n):
 ))
 def test_region_incidence_matches_reference(case):
     n, seqs = case
-    # any value stands in for a vertex: only identity and order are compared
-    vertices = {key: object() for key, _ in seqs}
-    got = _region_incidence(vertices, n)
-    want = reference_region_incidence(vertices, n)
+    keys = [key for key, _ in seqs]
+    got = _region_incidence(keys, n)
+    want = reference_region_incidence(keys, n)
     assert list(got) == list(want)  # same regions, same order
     assert all(got[r] == want[r] for r in want)  # same vertices, same order
 
@@ -309,13 +332,6 @@ def test_last_layer_incidence_computed_on_first_read(monkeypatch):
 
 def test_schedule_independence(monkeypatch):
     net = random_init((2, 5, 5, 1), 3)
-
-    def vertex_table(state):
-        return {
-            s: (v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
-            for s, v in state.vertices.items()
-        }
-
     ref = build_complex(net)
     real = relucx.builder._layer_candidates
     rng = np.random.default_rng(0)
@@ -331,8 +347,7 @@ def test_schedule_independence(monkeypatch):
     monkeypatch.setattr(relucx.builder, "_layer_candidates", shuffled)
     for _ in orders:
         other = build_complex(net)
-        assert vertex_table(other) == vertex_table(ref)
-        assert other.regions == ref.regions
+        assert state_fingerprint(other) == state_fingerprint(ref)
     assert len(calls) == 2 * len(orders)
 
 
@@ -346,7 +361,7 @@ def test_dead_unit_build_succeeds():
     state = build_complex(dead)
     flat = dead.layer_offset(2)  # the modified unit's node index
     assert state.vertices
-    assert (unpack(list(state.vertices), state.covered)[:, flat] == 1).all()
+    assert (unpack(state.vertices, state.covered)[:, flat] == 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +376,18 @@ def reference_strict_sign(value, context):
     return 1 if value > 0 else -1
 
 
+# a vertex found by a reference search, with the condition estimate of its system
+Candidate = namedtuple("Candidate", "coords zero_set residual cond")
+
+
 def reference_merge(candidates, n):
-    """The least (residual, condition, coords) vertex of each key's candidates.
+    """The least (residual, condition, coords) candidate of each key's candidates.
 
     Every candidate must lie within 1e-6 of it, scaled by 1 + the larger norm.
     """
     table = {}
     for key, verts in candidates.items():
-        best = min(verts, key=lambda v: (v.max_residual, v.solve_condition, tuple(v.coords)))
+        best = min(verts, key=lambda v: (v.residual, v.cond, tuple(v.coords)))
         for v in verts:
             scale = 1.0 + max(np.linalg.norm(best.coords), np.linalg.norm(v.coords))
             gap = float(np.max(np.abs(best.coords - v.coords)))
@@ -386,6 +405,7 @@ def reference_new_vertices(net, k, state):
     """
     n0, base, n_k = net.n0, net.layer_offset(k), net.architecture[k]
     incidence = _region_incidence(state.vertices, base)
+    zero_sets = state.zero_sets.tolist()
     found = {}
     subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
     for region in sorted(state.regions):
@@ -395,9 +415,9 @@ def reference_new_vertices(net, k, state):
         old_offsets, new_offsets = offsets[:base], offsets[base:]
         sign_arr = np.array(region_entries, dtype=float)
         olds_by_size = {s: set() for s in subset_sizes}
-        for vert in incidence[region]:
+        for row in incidence[region]:
             for s in subset_sizes:
-                olds_by_size[s].update(itertools.combinations(vert.zero_set, s))
+                olds_by_size[s].update(itertools.combinations(zero_sets[row], s))
         for ell in range(1, min(n0, n_k) + 1):
             for new_subset in itertools.combinations(range(n_k), ell):
                 m_new = new_normals[list(new_subset)]
@@ -435,9 +455,19 @@ def reference_new_vertices(net, k, state):
                         for j in range(n_k)
                     ]
                     zero_set = tuple(sorted(old_subset)) + tuple(base + j for j in new_subset)
-                    vert = Vertex(x, zero_set, residual, cond)
+                    vert = Candidate(x, zero_set, residual, cond)
                     found.setdefault(key_of(entries), []).append(vert)
     return reference_merge(found, base + n_k)
+
+
+def assert_table_matches(state, rows, want):
+    """Rows `rows` (key -> row) of a state's table hold the candidates `want`, bit for bit."""
+    assert rows.keys() == want.keys()
+    for key, v in want.items():
+        i = rows[key]
+        assert state.coords[i].tobytes() == v.coords.tobytes()
+        assert tuple(state.zero_sets[i].tolist()) == tuple(v.zero_set)
+        assert state.residuals[i] == v.residual
 
 
 def assert_layers_match_reference(net):
@@ -445,15 +475,8 @@ def assert_layers_match_reference(net):
     for k in range(2, net.depth + 2):
         nxt = extend_layer(net, k, state)
         base = net.layer_offset(k)
-        got = {s: v for s, v in nxt.vertices.items() if v.zero_set[-1] >= base}
-        ref = reference_new_vertices(net, k, state)
-        assert got.keys() == ref.keys()
-        for signs, v in ref.items():
-            w = got[signs]
-            assert np.array_equal(w.coords, v.coords)
-            assert w.zero_set == v.zero_set
-            assert w.max_residual == v.max_residual
-            assert w.solve_condition == v.solve_condition
+        rows = {key: i for key, i in rows_by_key(nxt).items() if nxt.zero_sets[i, -1] >= base}
+        assert_table_matches(nxt, rows, reference_new_vertices(net, k, state))
         state = nxt
 
 
@@ -489,7 +512,7 @@ def reference_first_layer_vertices(net):
         for j in range(n1):
             if j not in alpha:
                 entries[j] = reference_strict_sign(vals[j], f"first layer at {alpha}")
-        vertices[key_of(entries)] = Vertex(x, alpha, residual, cond)
+        vertices[key_of(entries)] = Candidate(x, alpha, residual, cond)
     return vertices
 
 
@@ -525,12 +548,8 @@ def test_batched_first_layer_matches_reference(monkeypatch, arch, case):
                 first_layer_vertices(net)
             assert str(got.value) == str(exc)
             continue
-        got = first_layer_vertices(net).vertices
-        assert got.keys() == want.keys()
-        for key, v in want.items():
-            g = got[key]
-            assert g.coords.tobytes() == v.coords.tobytes() and g.zero_set == v.zero_set
-            assert (g.max_residual, g.solve_condition) == (v.max_residual, v.solve_condition)
+        state = first_layer_vertices(net)
+        assert_table_matches(state, rows_by_key(state), want)
 
 
 def test_batched_first_layer_covers_every_check(monkeypatch):
@@ -713,6 +732,29 @@ def test_concurrent_bent_hyperplanes_are_degenerate():
         build_complex(net)
 
 
+@pytest.mark.parametrize(
+    "old_first,big,fault",
+    [
+        (True, [1e308, 1e308], "remaining node map not finite at a candidate vertex"),
+        (True, [1e308, -1e308], "remaining node map not finite at a candidate vertex"),
+        (False, [1e308, 1e308], "node map value inf is not finite"),
+        (False, [1e308, -1e308], "node map value -?(inf|nan) is not finite"),
+    ],
+)
+def test_non_finite_value_at_a_candidate_is_degenerate(old_first, big, fault):
+    # one region with one old map; the candidate solves x - 2 = y - 2 = 0, where
+    # the third map, old or new, overflows
+    maps = [([1.0, 0.0], -2.0), ([0.0, 1.0], -2.0)]
+    maps.insert(0 if old_first else 2, (big, 0.0))
+    normals, offsets = np.array([[m for m, _ in maps]]), np.array([[c for _, c in maps]])
+    rows = np.array([[1, 2] if old_first else [0, 1]], dtype=np.int32)
+    with pytest.raises(DegenerateNetwork, match=f"^here: {fault}$"):
+        relucx.builder._block_vertices(
+            normals, offsets, np.ones((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int32),
+            rows, 1, lambda r, subset: "here",
+        )
+
+
 def test_narrow_first_layer_unsupported():
     with pytest.raises(ArchitectureUnsupported):
         build_complex(random_init((3, 2, 1), 0))
@@ -729,7 +771,7 @@ def test_extend_layer_contract_errors(hand_net):
 
 
 def unique_vertices(candidates):
-    """`_unique_vertices` over (coords, residual, condition) candidates of one key."""
+    """`_unique_vertices`' columns over (coords, residual, condition) candidates of one key."""
     coords, residuals, conds = (np.array(column) for column in zip(*candidates))
     keys = np.full(len(candidates), key_of([0, 0, 1]))
     zero_sets = np.tile([0, 1], (len(candidates), 1))
@@ -743,9 +785,9 @@ def test_duplicates_resolve_independent_of_order():
     b = ([0.9e-6, 0.0], 1e-12, 5.0)
     c = ([-0.9e-6, 0.0], 1e-12, 5.0)
     for order in itertools.permutations((a, b, c)):
-        (vert,) = unique_vertices(order).values()
-        assert vert.coords.tolist() == a[0]
-        assert (vert.max_residual, vert.solve_condition) == a[1:]
+        keys, coords, zero_sets, residuals = unique_vertices(order)
+        assert keys == [key_of([0, 0, 1])] and zero_sets.tolist() == [[0, 1]]
+        assert coords.tolist() == [a[0]] and residuals.tolist() == [a[1]]
     far = ([2e-6, 0.0], 1e-12, 5.0)
     for order in ((a, far), (far, a)):
         with pytest.raises(DuplicateMismatch, match=r"^sign sequence \(0,0,1\) held by two"):
@@ -760,14 +802,9 @@ BLOCK_SIZES = (1, 3, DEFAULT_BLOCK)
 
 
 def state_fingerprint(state):
-    """Everything a layer state holds, in dict and list order, down to the bits."""
-    vertices = [
-        (s, v.coords.tobytes(), v.zero_set, v.max_residual, v.solve_condition)
-        for s, v in state.vertices.items()
-    ]
-    keys = {id(v): s for s, v in state.vertices.items()}
-    incidence = [(r, [keys[id(v)] for v in vs]) for r, vs in state.incidence.items()]
-    return vertices, incidence
+    """Everything a layer state holds, in row and dict order, down to the bits."""
+    columns = (state.coords, state.zero_sets, state.residuals)
+    return state.vertices, [c.tobytes() for c in columns], list(state.incidence.items())
 
 
 def layer_fingerprints(net):
@@ -826,8 +863,8 @@ def test_ill_conditioned_accepted_system_raises(monkeypatch):
     # layer 2: the first layer passes and extend_layer refuses a layer-2 vertex
     net = random_init((2, 6, 6, 1), 0)
     state = first_layer_vertices(net)
-    first = max(v.solve_condition for v in state.vertices.values())
-    second = max(v.solve_condition for v in extend_layer(net, 2, state).vertices.values())
+    first = max(v.cond for v in reference_first_layer_vertices(net).values())
+    second = max(v.cond for v in reference_new_vertices(net, 2, state).values())
     assert first < second
     monkeypatch.setattr(relucx.builder, "_COND_MAX", (first * second) ** 0.5)
     state = first_layer_vertices(net)

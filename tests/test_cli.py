@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import time
 
@@ -200,6 +201,49 @@ def test_inconsistent_build_exits_degenerate(tmp_path, capsys, arch, seed, comma
         assert captured.err == ""
         lines = captured.out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
+OVERFLOWING_MODELS = [
+    # layer 3's values at the vertices carried over from layer 2 overflow to inf
+    (
+        {
+            "architecture": [2, 3, 3, 1],
+            "layers": [
+                {"weights": [[1, 0.5], [0.3, 1], [1, -1]], "bias": [0.1, 0.2, 0.3]},
+                {"weights": [[1e300, 1e300, 1e300], [1, 2, 3], [3, -1, 2]], "bias": [1e300, 1, 2]},
+                {"weights": [[1e300, 1, 1]], "bias": [1]},
+            ],
+        },
+        r"^layer 3 at existing vertex \([-01,]+\): node map value inf is not finite$",
+    ),
+    # those values stay finite, but layer 3's composed region maps overflow
+    (
+        {
+            "architecture": [2, 3, 1, 1],
+            "layers": [
+                {"weights": [[1, 0.5], [0.3, 1], [1, -1]], "bias": [1e-3, 2e-3, 3e-3]},
+                {"weights": [[1e200, 1e200, 1e200]], "bias": [1e194]},
+                {"weights": [[1e110]], "bias": [1]},
+            ],
+        },
+        r"^layer 3, region \([-1,]+\): region map has a non-finite entry$",
+    ),
+]
+
+
+@pytest.mark.parametrize("model,detail", OVERFLOWING_MODELS, ids=["values", "region-maps"])
+def test_overflowing_model_exits_degenerate(tmp_path, capsys, model, detail):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(model))
+    for command in ("build", "oracle-check"):
+        flags = ["--out", str(tmp_path / "out")] if command == "build" else []
+        assert main([command, "--model", str(path), *flags]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (line,) = captured.out.splitlines()
+        report = json.loads(line)
+        assert report["error"] == "degenerate_network"
+        assert re.match(detail, report["detail"])
 
 
 def test_build_unsupported_architecture(tmp_path, capsys):

@@ -272,7 +272,7 @@ def test_boundary_inconsistent_detected():
 def test_render_db_svg_hand_example(hand_net, tmp_path):
     state = build_complex(hand_net)
     db = decision_boundary(assemble_state(state))
-    coords = {s: v.coords for s, v in state.vertices.items()}
+    coords = dict(zip(state.vertices, state.coords))
     out = tmp_path / "db.svg"
     render_db_svg(hand_net, coords, db, (-3.0, 3.0), str(out))
     text = out.read_text()
