@@ -12,10 +12,13 @@ are structural: they are recorded from the system, never thresholded.
 
 A layer's work is done over arrays.  The maps of all its regions are
 composed by one stacked `matmul`, and its candidate systems form one index
-array.  They are solved and checked in fixed blocks of BLOCK_CANDIDATES
-with one batched `solve`, stacked `matmul` and batched `cond` each, which
-give the same bits as one call per candidate; the earliest failing
-candidate refuses the network.  The accepted rows of all blocks are merged
+array.  A candidate whose face of its region is bounded, but has a new map
+of one sign at all the face's vertices, cannot meet that face and is
+dropped before any solve.  The rest are solved and checked in blocks of as
+many candidates as BLOCK_BYTES of their gathered region normals hold, with
+one batched `solve`, stacked `matmul` and batched `cond` each, which give
+the same bits as one call per candidate; the earliest failing candidate
+refuses the network.  The accepted rows of all blocks are merged
 in one array pass per layer that keeps one vertex per key.
 
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
@@ -73,10 +76,10 @@ _MERGE_TOL = 1e-6
 _DEGENERACY_TOL = 1e-8
 _COND_MAX = 1e12
 
-# Candidate systems that first_layer_vertices and extend_layer solve and
-# check at once; a fixed block bounds the arrays of one step however many
-# candidates a layer has.
-BLOCK_CANDIDATES = 128
+# Bytes of gathered region normals, (m, n_0) float64 per candidate, that
+# first_layer_vertices and extend_layer solve and check at once: a block
+# bounds the arrays of one step however many candidates a layer has.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -186,40 +189,56 @@ def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
 
 
 def _layer_candidates(
-    state: LayerBuildState, regions: list[int], base: int, n_k: int, n0: int
+    state: LayerBuildState, regions: list[int], positive: np.ndarray, base: int, n_k: int, n0: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Region ids (C,) and rows (C, n_0) into the region maps of every candidate.
+    """Region ids (C,) and rows (C, n_0) into the region maps of the candidates a new map crosses.
 
-    Candidates run over `regions`, then l ascending, then the l-subsets of
-    the layer's rows, then the (n_0 - l)-subsets of the region's vertex zero
-    sets in sorted order; each row lists its new-layer rows first.
+    Candidate (region r, new rows J, old rows I) solves for a point of the
+    face F of r's closure whose vertices are the members of r with I in
+    their zero sets.  F is bounded when each of its edges, an (n_0 - 1)-subset
+    containing I, is held by exactly two members; then F is the hull of its
+    vertices, and a map of J with one sign over them (`positive`, the layer's
+    signs at the state's vertices) does not vanish on F, so the candidate is
+    dropped unsolved.  The rest run over `regions`, then l ascending, then
+    the l-subsets of the layer's rows, then the (n_0 - l)-subsets of the
+    region's vertex zero sets in sorted order; each row lists its new-layer
+    rows first.
     """
-    zero_sets = state.zero_sets.tolist()
-    news, counts, olds = [], [], []
+    lists = [state.incidence[region] for region in regions]
+    owners = np.repeat(np.arange(len(regions), dtype=np.int32), [len(rows) for rows in lists])
+    members = np.concatenate(lists)  # one entry per (region, vertex of its closure)
+    edges = list(combinations(range(n0), n0 - 1))  # as positions in a zero set
+    ids, rows, keys = [], [], []  # keys: each kept candidate's face, new subset and l
     for ell in range(1, min(n0, n_k) + 1):
-        news.append(base + np.array(list(combinations(range(n_k), ell)), dtype=np.int32))
-        count, flat = [], []
-        for region in regions:
-            members = state.incidence[region]
-            subsets = sorted({s for i in members for s in combinations(zero_sets[i], n0 - ell)})
-            count.append(len(subsets))
-            for subset in subsets:  # flattened, so no subset tuple outlives its region
-                flat.extend(subset)
-        counts.append(count)
-        olds.append(np.array(flat, dtype=np.int32).reshape(sum(count), n0 - ell))
-    counts = np.array(counts).T  # (R, L): old subsets per region and l
-    first_old = np.cumsum(counts, axis=0) - counts
-    sizes = counts * [len(new) for new in news]
-    starts = np.cumsum(sizes).reshape(sizes.shape) - sizes  # region-major, then l
-    rows = np.empty((sizes.sum(), n0), dtype=np.int32)
-    for i, new in enumerate(news):
-        ell, size, count = new.shape[1], sizes[:, i], np.repeat(counts[:, i], sizes[:, i])
-        # candidate p of region r pairs new subset p // count with old subset p % count
-        p = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        dest = p + np.repeat(starts[:, i], size)
-        rows[dest, :ell] = new[p // count]
-        rows[dest, ell:] = olds[i][np.repeat(first_old[:, i], size) + p % count]
-    return np.repeat(np.arange(len(regions), dtype=np.int32), sizes.sum(axis=1)), rows
+        new = np.array(list(combinations(range(n_k), ell)), dtype=np.int32)
+        picks = list(combinations(range(n0), n0 - ell))
+        # one entry per (region, member, old subset), sorted by region, then subset
+        owner = np.repeat(owners, len(picks))
+        subsets = state.zero_sets[members][:, picks].reshape(len(owner), n0 - ell)
+        sort = np.lexsort((*subsets.T[::-1], owner))
+        subsets, owner = subsets[sort], owner[sort]
+        step = (owner[1:] != owner[:-1]) | (subsets[1:] != subsets[:-1]).any(axis=1)
+        starts = np.flatnonzero(np.r_[True, step])  # one face per (region, old subset)
+        held = np.diff(starts, append=len(sort))  # its vertices
+        if ell == 1:  # an edge is a ray unless two vertices hold it
+            rays = np.empty(len(sort), dtype=bool)
+            rays[sort] = np.repeat(held != 2, held)
+            rays = rays.reshape(-1, n0)
+        # a face is unbounded when an edge of it through one of its vertices is a ray
+        inside = np.array([[set(pick) <= set(edge) for edge in edges] for pick in picks])
+        opened = (rays[:, None, :] & inside).any(axis=2).ravel()[sort]
+        unbounded = np.logical_or.reduceat(opened, starts)
+        signs = positive[np.repeat(members, len(picks))[sort]]
+        ups = np.add.reduceat(signs, starts, dtype=np.int64)  # positive vertices per face
+        crossed = (ups > 0) & (ups < held[:, None])
+        face, maps = np.nonzero(unbounded[:, None] | crossed[:, new].all(axis=2))
+        ids.append(owner[starts][face])
+        rows.append(np.hstack([base + new[maps], subsets[starts][face]]))
+        keys.append((face, maps, np.full(len(face), ell)))
+    ids, rows = np.concatenate(ids), np.concatenate(rows)
+    face, maps, ells = map(np.concatenate, zip(*keys))
+    order = np.lexsort((face, maps, ells, ids))
+    return ids[order], rows[order]
 
 
 def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
@@ -299,12 +318,18 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     return keys, xs[walk], np.sort(rows[walk], axis=1), residual[walk], conds
 
 
+def _block_size(normals: np.ndarray) -> int:
+    """Candidates per block: as many as BLOCK_BYTES of their gathered region normals hold."""
+    return max(1, BLOCK_BYTES // normals[0].nbytes)
+
+
 def _solve_candidates(normals, offsets, region_signs, ids, rows, base, context):
-    """One vertex per key of all candidates, solved BLOCK_CANDIDATES at a time.
+    """One vertex per key of all candidates, solved and checked a block at a time.
 
     Takes the arguments of `_block_vertices`; returns `_unique_vertices`' columns.
     """
-    cuts = range(BLOCK_CANDIDATES, len(ids), BLOCK_CANDIDATES)
+    block = _block_size(normals)
+    cuts = range(block, len(ids), block)
     blocks = [
         _block_vertices(normals, offsets, region_signs, block_ids, block_rows, base, context)
         for block_ids, block_rows in zip(np.split(ids, cuts), np.split(rows, cuts))
@@ -338,7 +363,7 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
 
     # (b) solve for new vertices inside every region of the current complex
     regions = sorted(state.regions)
-    ids, rows = _layer_candidates(state, regions, base, n_k, net.n0)
+    ids, rows = _layer_candidates(state, regions, vals > 0, base, n_k, net.n0)
     region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
 

@@ -37,8 +37,15 @@ from .model import (
 )
 from .oracle import SampleGrid, sample_region_signs
 from .signs import n_zeros, text
-from .topology import ClosureViolation, assemble, betti_gf2, compactify, decision_boundary
-from .topology import render_db_svg
+from .topology import (
+    BoundaryInconsistent,
+    ClosureViolation,
+    assemble,
+    betti_gf2,
+    compactify,
+    decision_boundary,
+    render_db_svg,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -63,6 +70,7 @@ _NUMERIC_ERRORS = {
     DegenerateNetwork: "degenerate_network",
     DuplicateMismatch: "duplicate_mismatch",
     ClosureViolation: "closure_violation",
+    BoundaryInconsistent: "boundary_inconsistent",
 }
 
 _REDRAW_STRIDE = 1_000_000_007

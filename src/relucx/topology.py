@@ -45,7 +45,10 @@ __all__ = [
 
 
 class ClosureViolation(Exception):
-    """The assembled cells do not have the Euler characteristic of R^n0."""
+    """The cells do not form a complex of R^n0.
+
+    Their Euler characteristic is not that of R^n0, or an edge has more than two vertices.
+    """
 
 
 class BoundaryInconsistent(Exception):
@@ -147,7 +150,8 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
     """Chain complex of the one-point compactification of the decision boundary.
 
     Grades run 0..n0-1 (the boundary has no n0-cells).  The extra 0-cell at
-    infinity occupies the last grade-0 index.
+    infinity occupies the last grade-0 index.  An edge with more than two
+    vertex facets raises `ClosureViolation`.
     """
     n0 = db.n0
     if any(db.grading[n0]):
@@ -157,7 +161,8 @@ def compactify(db: CubicalComplex) -> ChainComplexGF2:
     edges = []
     for key, col in zip(db.grading[1], chain.boundaries[0]):
         count = col.bit_count()  # an edge with one endpoint ends at infinity
-        assert count <= 2, f"edge {text(key, db.n)} has {count} vertex facets"
+        if count > 2:
+            raise ClosureViolation(f"edge {text(key, db.n)} has {count} vertex facets")
         edges.append(col | (count == 1) << inf_row)
     dims = (inf_row + 1, *chain.dims[1:n0])
     return ChainComplexGF2(dims, (tuple(edges), *chain.boundaries[1 : n0 - 1]))

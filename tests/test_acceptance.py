@@ -246,7 +246,9 @@ def test_criterion_7_statistics(crit7_results):
     )
 
 
-def test_criterion_8_numerical_stability(crit1_states, crit2_analysis, crit3_builds, crit7_results):
+def test_criterion_8_numerical_stability(
+    crit1_states, crit2_analysis, crit3_builds, crit7_results
+):
     states, _ = crit1_states
     jobs = []
     for runs in states.values():

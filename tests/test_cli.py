@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_hand_net
+from conftest import key_of, make_hand_net
 from relucx import AffineLayer, DegenerateNetwork, ReluNetwork, random_init, write_model
 from relucx.cli import (
     EXIT_BAD_MODEL,
@@ -25,6 +25,7 @@ from relucx.cli import (
     run_experiment,
 )
 from relucx.model import network_to_dict
+from relucx.topology import ChainComplexGF2, CubicalComplex
 import relucx.cli
 
 
@@ -203,6 +204,38 @@ def test_inconsistent_build_exits_degenerate(tmp_path, capsys, arch, seed, comma
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+def three_vertex_edge(cx):
+    # edge (1,1,1,0) with its three vertex facets, one more than an edge can have
+    vertices = tuple(key_of(v) for v in ([0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]))
+    return CubicalComplex(2, 4, (vertices, (key_of([1, 1, 1, 0]),), ()))
+
+
+def nonzero_dd(db):
+    # one vertex, one edge ending at it, one face bounded by the edge: d_1 . d_2 != 0
+    return ChainComplexGF2((1, 1, 1), ((0b1,), (0b1,)))
+
+
+@pytest.mark.parametrize(
+    "name,fake,error,detail",
+    [
+        ("decision_boundary", three_vertex_edge, "closure_violation",
+         "edge (1,1,1,0) has 3 vertex facets"),
+        ("compactify", nonzero_dd, "boundary_inconsistent",
+         "d_1 . d_2 has a nonzero column over GF(2)"),
+    ],
+)
+def test_topology_inconsistency_exits_degenerate(
+    hand_model, tmp_path, capsys, monkeypatch, name, fake, error, detail
+):
+    monkeypatch.setattr(relucx.cli, name, fake)
+    argv = ["build", "--model", hand_model, "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {"error": error, "detail": detail}
+
+
 OVERFLOWING_MODELS = [
     # layer 3's values at the vertices carried over from layer 2 overflow to inf
     (
@@ -335,7 +368,9 @@ def test_build_outputs_locked(arch, seed, tmp_path):
     model, out = tmp_path / "m.json", tmp_path / "out"
     write_model(random_init(arch, seed), str(model))
     assert main(["build", "--model", str(model), "--out", str(out)]) == EXIT_OK
-    signs = sorted(json.loads(l)["signs"] for l in (out / "vertices.jsonl").read_text().splitlines())
+    signs = sorted(
+        json.loads(l)["signs"] for l in (out / "vertices.jsonl").read_text().splitlines()
+    )
     got = (
         hashlib.sha256((out / "complex.jsonl").read_bytes()).hexdigest(),
         hashlib.sha256((out / "betti.json").read_bytes()).hexdigest(),
@@ -375,7 +410,9 @@ STATS_DIGEST = "67bf00f5b2d2b67b608de0a19819d1a9884cdc36bbd4d953aae00ef994d5c108
 
 def test_experiment_stats_locked(tmp_path):
     out = tmp_path / "exp"
-    code = main(["experiment", "--arch", "2,8,8,1", "--trials", "8", "--seed", "0", "--out", str(out)])
+    code = main(
+        ["experiment", "--arch", "2,8,8,1", "--trials", "8", "--seed", "0", "--out", str(out)]
+    )
     assert code == EXIT_OK
     lines = (out / "stats.csv").read_text().splitlines()
     assert lines[0].startswith("# generated ")
@@ -562,7 +599,9 @@ def test_serial_without_fork(tmp_path, cpus, monkeypatch):
     assert main(experiment_argv(tmp_path / "fork", 2)) == EXIT_OK
     monkeypatch.delattr(os, "fork")
     assert main(experiment_argv(tmp_path / "serial", 2)) == EXIT_OK
-    forked, serial = ((tmp_path / n / "stats.csv").read_text().splitlines()[1:] for n in ("fork", "serial"))
+    forked, serial = (
+        (tmp_path / n / "stats.csv").read_text().splitlines()[1:] for n in ("fork", "serial")
+    )
     assert forked == serial
 
 
@@ -702,7 +741,9 @@ def test_child_dying_without_result(tmp_path, capsys, cpus, monkeypatch, die, ho
     assert main(experiment_argv(tmp_path, 2)) == EXIT_BAD_MODEL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: the process running trials 2-3 ended without a result ({how})\n"
+    assert captured.err == (
+        f"error: the process running trials 2-3 ended without a result ({how})\n"
+    )
     assert not (tmp_path / "stats.csv").exists()
     assert_no_children()
 
