@@ -24,15 +24,14 @@ in one array pass per layer that keeps one vertex per key.
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
 text is made only for error messages.  A state's vertices are one table of
 the arrays the solves produce (keys, coordinates, zero sets, residuals),
-and its region incidence maps each all-nonzero completion of a vertex key (a
-region) to the rows of the vertices in its closure, computed on first read,
-so the last layer's is built only if something reads it.  Only
+and its region incidence, the regions with the rows of the vertices in each
+one's closure, is three arrays sorted from one array of completions on first
+read, so the last layer's is built only if something reads it.  Only
 `topology.assemble` builds the full cube closure, once per network.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -41,7 +40,7 @@ import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix, stacked_region_affine_maps
 from .model import region_affine_maps  # noqa: F401  (unused here; perfbench/tracing.py patches it)
-from .signs import completion_keys, pack, text, unpack
+from .signs import completions, pack, text, unpack
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 
 __all__ = [
@@ -94,24 +93,25 @@ class LayerBuildState:
     residuals: np.ndarray  # (V,)
 
     @cached_property
-    def incidence(self) -> dict[int, list[int]]:
-        """Region -> rows of its incident vertices, computed from `vertices` on first read."""
-        return _region_incidence(self.vertices, self.covered)
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_region_incidence` of the vertex table, computed on first read."""
+        return _region_incidence(self.vertices, self.zero_sets, self.covered)
 
     @property
-    def regions(self):
-        """The regions, as a read-only set-like view."""
-        return self.incidence.keys()
+    def regions(self) -> frozenset[int]:
+        """The region keys, as a set."""
+        return frozenset(self.incidence[0].tolist())
 
 
-def _region_incidence(keys: list[int], n: int) -> dict[int, list[int]]:
-    """Map each all-nonzero completion (region) of the n-entry keys to the rows holding it."""
-    incidence: defaultdict[int, list[int]] = defaultdict(list)
-    patterns: dict[int, list[int]] = {}
-    for row, key in enumerate(keys):
-        for region in completion_keys(key, n, (-1, 1), patterns):
-            incidence[region].append(row)
-    return dict(incidence)
+def _region_incidence(keys, zero_sets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regions (all-nonzero completions) of n-entry keys, ascending, and their incidences.
+
+    Per (region, key in its closure), sorted by region, then row: the region's index and the row.
+    """
+    cells = completions(keys, zero_sets, n, (-1, 1))
+    regions, owners = np.unique(cells.ravel(), return_inverse=True)
+    order = np.argsort(owners, kind="stable")
+    return regions, owners[order], order // cells.shape[1]
 
 
 def _sign_check(vals: np.ndarray, free, context):
@@ -189,7 +189,7 @@ def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
 
 
 def _layer_candidates(
-    state: LayerBuildState, regions: list[int], positive: np.ndarray, base: int, n_k: int, n0: int
+    state: LayerBuildState, positive: np.ndarray, base: int, n_k: int, n0: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Region ids (C,) and rows (C, n_0) into the region maps of the candidates a new map crosses.
 
@@ -199,14 +199,12 @@ def _layer_candidates(
     containing I, is held by exactly two members; then F is the hull of its
     vertices, and a map of J with one sign over them (`positive`, the layer's
     signs at the state's vertices) does not vanish on F, so the candidate is
-    dropped unsolved.  The rest run over `regions`, then l ascending, then
-    the l-subsets of the layer's rows, then the (n_0 - l)-subsets of the
-    region's vertex zero sets in sorted order; each row lists its new-layer
-    rows first.
+    dropped unsolved.  The rest run over the regions in key order, then l
+    ascending, then the l-subsets of the layer's rows, then the (n_0 - l)-subsets
+    of the region's vertex zero sets in sorted order; each row lists its
+    new-layer rows first.
     """
-    lists = [state.incidence[region] for region in regions]
-    owners = np.repeat(np.arange(len(regions), dtype=np.int32), [len(rows) for rows in lists])
-    members = np.concatenate(lists)  # one entry per (region, vertex of its closure)
+    _, owners, members = state.incidence  # one entry per (region, vertex of its closure)
     edges = list(combinations(range(n0), n0 - 1))  # as positions in a zero set
     ids, rows, keys = [], [], []  # keys: each kept candidate's face, new subset and l
     for ell in range(1, min(n0, n_k) + 1):
@@ -362,13 +360,13 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
     keys = [key << 2 * n_k | tail for key, tail in zip(olds, tails)]
 
     # (b) solve for new vertices inside every region of the current complex
-    regions = sorted(state.regions)
-    ids, rows = _layer_candidates(state, regions, vals > 0, base, n_k, net.n0)
+    regions = state.incidence[0]
+    ids, rows = _layer_candidates(state, vals > 0, base, n_k, net.n0)
     region_signs = unpack(regions, base)
     normals, offsets = stacked_region_affine_maps(net, region_signs > 0, k)
 
     def where(r, subset=None):
-        return f"layer {k}, region {text(regions[r], base)}"
+        return f"layer {k}, region {text(int(regions[r]), base)}"
 
     finite = np.isfinite(normals).all(axis=(1, 2)) & np.isfinite(offsets).all(axis=1)
     _refuse((~finite, lambda r: f"{where(r)}: region map has a non-finite entry"))

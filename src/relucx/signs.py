@@ -11,15 +11,15 @@ that needs it takes it.  `pack`, `unpack` and `text` convert between keys,
 arrays of entries and the textual form "(1,0,-1)"; they hold for any n.
 
 On keys, a completion (the key with its zero fields cleared, OR a pattern of
-codes) and a facet (one field set to 0b01) are single integer operations;
-the builder's region incidence and the cube closure that the topology layer
-reads its cells from run on them, as does the face `product`.
+codes) and a facet (one field set to 0b01) are single integer operations, as is
+the face `product`; `completions` makes all completions of an array of keys as
+one array, which the builder's region incidence and the cube closure sort.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -103,40 +103,41 @@ def facet_keys(key: int, n: int) -> Iterator[int]:
         yield key & ~(3 << shift) | 1 << shift  # that field set to 0b01
 
 
-def completion_keys(key: int, n: int, values: tuple[int, ...], patterns: dict) -> Iterator[int]:
-    """Keys of a key of n entries with every zero re-assigned a value from `values`.
+def completions(keys, zero_positions, n: int, values) -> np.ndarray:
+    """Keys of n entries with every zero re-assigned a value from `values`, as a (V, P) array.
 
-    A completion is the key with its zero fields cleared, OR one pattern of
-    codes.  `patterns` holds the patterns of each zero mask met so far, in
-    `itertools.product` order, most significant field first; a caller keeps
-    one such dict for one pass, with one `values`.
+    Row v holds the len(values)**n0 completions of keys[v], with zeros at the ascending
+    positions zero_positions[v] (a (V, n0) array), in `itertools.product` order: the key
+    XOR its zero fields' 0b01, OR value codes.  int64 for n <= 31, else Python ints.
     """
-    zero_lo = _zero_bits(key, n)
-    pats = patterns.get(zero_lo)
-    if pats is None:
-        codes, pats, rest = [v + 1 for v in values], [0], zero_lo
-        while rest:
-            shift = rest.bit_length() - 1
-            rest ^= 1 << shift
-            pats = [p | c << shift for p in pats for c in codes]
-        patterns[zero_lo] = pats
-    return map((key ^ zero_lo).__or__, pats)  # zero fields are 0b01: XOR clears them
+    dtype = np.int64 if n <= _WORD_FIELDS else object
+    shifts = (2 * (n - 1 - np.asarray(zero_positions, dtype=np.int64))).astype(dtype)
+    codes = np.array([v + 1 for v in values], dtype=dtype)
+    out = np.asarray(keys, dtype=dtype)[:, None]
+    for shift in shifts.T[:, :, None, None]:  # one zero field of every key at a time
+        out = (out[:, :, None] ^ 1 << shift | codes << shift).reshape(len(out), -1)
+    return out
 
 
-def cube_closure(vertex_keys: Iterable[int], n: int) -> dict[int, set[int]]:
+def cube_closure(vertex_keys, n: int) -> dict[int, tuple[int, ...]]:
     """Close a set of vertex keys of n entries under resolving zeros to +1/-1.
 
-    Returns the cell keys graded by zero count, ascending, with empty grades
-    left out; grade 0 holds the top-dimensional regions.
+    Returns the cell keys graded by zero count, ascending, each grade an ascending
+    tuple, with empty grades left out; grade 0 holds the top-dimensional regions.
     """
-    keys: set[int] = set()
-    patterns: dict[int, list[int]] = {}
-    for v in vertex_keys:
-        keys.update(completion_keys(v, n, (-1, 0, 1), patterns))
-    if keys and max(keys) >> 2 * n:
+    keys = np.asarray(vertex_keys, dtype=np.int64 if n <= _WORD_FIELDS else object)
+    if not len(keys):
+        return {}
+    if keys.max() >> 2 * n:
         raise ValueError(f"a vertex key has more than {n} entries")
-    lo = _lo_mask(n)
-    graded: list[set[int]] = [set() for _ in range(n + 1)]
-    for key in keys:  # of the codes 0b00, 0b01, 0b10 only a zero sets the low bit
-        graded[(key & lo).bit_count()].add(key)
-    return {zeros: cells for zeros, cells in enumerate(graded) if cells}
+    zeros = unpack(keys, n) == 0
+    counts = zeros.sum(axis=1)
+    cells, grades = [], []
+    for n0 in np.flatnonzero(np.bincount(counts)):  # keys of one zero count at a time
+        positions = np.argsort(~zeros[counts == n0], axis=1, kind="stable")[:, :n0]  # of zeros
+        cells.append(completions(keys[counts == n0], positions, n, (-1, 0, 1)))
+        grade = (np.indices((3,) * n0).reshape(n0, 3**n0) == 1).sum(axis=0)  # pattern zeros
+        grades.append(np.tile(grade, len(cells[-1])))
+    cells, first = np.unique(np.concatenate([block.ravel() for block in cells]), return_index=True)
+    grades = np.concatenate(grades)[first]
+    return {z: tuple(cells[grades == z].tolist()) for z in sorted(set(grades.tolist()))}

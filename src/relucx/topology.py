@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .model import ReluNetwork, node_map_values, region_affine_maps
-from .signs import cube_closure, facet_keys, n_zeros, text, unpack
+from .signs import cube_closure, facet_keys, text, unpack
 
 __all__ = [
     "CubicalComplex",
@@ -100,14 +100,14 @@ def assemble(vertex_keys: Iterable[int], n: int) -> CubicalComplex:
     verts = list(vertex_keys)
     if not verts:
         raise ValueError("cannot assemble a complex from zero vertices")
-    n0 = n_zeros(verts[0], n)
-    for v in verts:
-        if n_zeros(v, n) != n0:
-            raise ValueError(
-                f"vertex {text(v, n)} has {n_zeros(v, n)} zeros, expected {n0} on every vertex"
-            )
+    zeros = (unpack(verts, n) == 0).sum(axis=1)
+    n0, v = int(zeros[0]), int(np.argmax(zeros != zeros[0]))  # v: the first odd vertex, if any
+    if zeros[v] != n0:
+        raise ValueError(
+            f"vertex {text(verts[v], n)} has {zeros[v]} zeros, expected {n0} on every vertex"
+        )
     closure = cube_closure(verts, n)
-    grading = tuple(tuple(sorted(closure.get(n0 - d, ()))) for d in range(n0 + 1))
+    grading = tuple(closure.get(n0 - d, ()) for d in range(n0 + 1))
     cx = CubicalComplex(n0, n, grading)
     # The open cells partition R^n0, whose compactly supported Euler
     # characteristic is (-1)^n0; a missed vertex can break this although the

@@ -33,12 +33,23 @@ from relucx.cli import _analyze, main
 from relucx.model import node_map_value_matrix
 from relucx.signs import n_zeros, unpack
 from conftest import entries_of, from_text, key_of, zero_positions
-from test_signs import reference_cube_completions, sparse_zero_sequences
+from test_signs import equal_zero_vertex_sets, reference_cube_completions
 
 
 def rows_by_key(state):
     """The row of each key in a state's vertex table."""
     return {key: i for i, key in enumerate(state.vertices)}
+
+
+def incidence_lists(incidence):
+    """Region -> its member rows, in region order, from `_region_incidence`'s three arrays."""
+    regions, owners, members = incidence
+    assert (np.diff(regions) > 0).all() and (np.diff(owners) >= 0).all()
+    keys = regions.tolist()
+    lists = {key: [] for key in keys}
+    for owner, row in zip(owners.tolist(), members.tolist()):
+        lists[keys[owner]].append(row)
+    return lists
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +77,7 @@ def test_hand_example_closure_counts(hand_net):
     assert len(closure[2]) == 3  # vertices
     assert len(closure[1]) == 9  # edges
     assert len(closure[0]) == 7  # regions
-    assert state.regions == closure[0]
+    assert state.regions == set(closure[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +253,8 @@ def test_closure_purity_and_region_incidence(arch, seed):
         # the regions are the closure's top grade, and each region's incident
         # vertices are exactly the vertices in its closure
         n = state.covered
-        assert state.regions == cube_closure(state.vertices, n)[0]
-        for region, members in state.incidence.items():
+        assert state.regions == set(cube_closure(state.vertices, n)[0])
+        for region, members in incidence_lists(state.incidence).items():
             assert members == [
                 i for i, key in enumerate(state.vertices) if product(key, region) == region
             ]
@@ -264,18 +275,13 @@ def reference_region_incidence(keys, n):
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=40).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.lists(sparse_zero_sequences(n), min_size=0, max_size=8, unique=True)
-    )
-))
+@given(equal_zero_vertex_sets())
 def test_region_incidence_matches_reference(case):
-    n, seqs = case
-    keys = [key for key, _ in seqs]
-    got = _region_incidence(keys, n)
+    keys, n, _ = case
+    got = _region_incidence(keys, np.array([zero_positions(key, n) for key in keys]), n)
     want = reference_region_incidence(keys, n)
-    assert list(got) == list(want)  # same regions, same order
-    assert all(got[r] == want[r] for r in want)  # same vertices, same order
+    # same regions in key order, each with the same vertex rows in row order
+    assert list(incidence_lists(got).items()) == sorted(want.items())
 
 
 @pytest.mark.parametrize("arch,seed", [((2, 6, 6, 6, 1), 0), ((4, 6, 1), 1), ((5, 8, 1), 1)])
@@ -286,8 +292,7 @@ def test_region_incidence_matches_reference_on_builds(arch, seed):
         states.append(extend_layer(net, k, states[-1]))
     for state in states:
         want = reference_region_incidence(state.vertices, state.covered)
-        assert list(state.incidence) == list(want)
-        assert all(state.incidence[r] == want[r] for r in want)
+        assert list(incidence_lists(state.incidence).items()) == sorted(want.items())
 
 
 @pytest.mark.parametrize("arch", [(2, 6, 6, 6, 1), (3, 6, 6, 1)])
@@ -406,7 +411,7 @@ def reference_new_vertices(net, k, state):
     by its own np.linalg.solve and checked on the spot.
     """
     n0, base, n_k = net.n0, net.layer_offset(k), net.architecture[k]
-    incidence = _region_incidence(state.vertices, base)
+    incidence = reference_region_incidence(state.vertices, base)
     zero_sets = state.zero_sets.tolist()
     found = {}
     subset_sizes = [n0 - ell for ell in range(1, min(n0, n_k) + 1)]
@@ -500,8 +505,7 @@ def screened_candidates(net, k, state):
     """Layer k's candidates that the face screen keeps: region ids and rows."""
     base, n_k = net.layer_offset(k), net.architecture[k]
     positive = node_map_value_matrix(net, state.coords)[:, base : base + n_k] > 0
-    regions = sorted(state.regions)
-    return relucx.builder._layer_candidates(state, regions, positive, base, n_k, net.n0)
+    return relucx.builder._layer_candidates(state, positive, base, n_k, net.n0)
 
 
 def screened_out(net, k, state):
@@ -512,8 +516,7 @@ def screened_out(net, k, state):
     zero_sets = state.zero_sets.tolist()
     dropped = np.zeros(n0 + 1, dtype=int)
     for ell in range(1, min(n0, n_k) + 1):
-        for region in state.regions:
-            members = state.incidence[region]
+        for members in incidence_lists(state.incidence).values():
             faces = {s for i in members for s in itertools.combinations(zero_sets[i], n0 - ell)}
             dropped[ell] += math.comb(n_k, ell) * len(faces)
         dropped[ell] -= kept[ell]
@@ -567,7 +570,7 @@ def test_face_screen_keeps_rays():
     net = screen_net()
     state = extend_layer(net, 2, first_layer_vertices(net))
     ids, rows = screened_candidates(net, 3, state)
-    assert len(state.incidence[from_text("(1,-1,1,1)")]) == 1
+    assert len(incidence_lists(state.incidence)[from_text("(1,-1,1,1)")]) == 1
     region = sorted(state.regions).index(from_text("(1,-1,1,1)"))
     assert rows[ids == region].tolist() == [[4, 1], [4, 2]]
 
@@ -896,7 +899,8 @@ def use_block(monkeypatch, block):
 def state_fingerprint(state):
     """Everything a layer state holds, in row and dict order, down to the bits."""
     columns = (state.coords, state.zero_sets, state.residuals)
-    return state.vertices, [c.tobytes() for c in columns], list(state.incidence.items())
+    incidence = list(incidence_lists(state.incidence).items())
+    return state.vertices, [c.tobytes() for c in columns], incidence
 
 
 def layer_fingerprints(net):

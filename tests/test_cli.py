@@ -5,7 +5,10 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +446,25 @@ def test_experiment_deterministic_and_thread_independent(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_experiment_leaves_numpy_ma_unimported(tmp_path):
+    # A bare np.unique(x) imports numpy.ma on numpy 2.4, through its masked-array
+    # check, and so raises the peak RSS of every run; a fresh interpreter shows it.
+    script = (
+        "import sys\n"
+        "from relucx.cli import main\n"
+        "argv = ['experiment', '--arch', '2,8,8,1', '--trials', '4', '--out', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(relucx.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_experiment_redraws_on_degeneracy(monkeypatch):
     import relucx.cli as cli
 
@@ -789,8 +811,9 @@ def test_oracle_check_fault_injection(hand_model, capsys, monkeypatch):
 
     def build_missing_one_region(net):
         state = real_build(net)
-        dropped = max(state.regions)
-        state.incidence = {r: vs for r, vs in state.incidence.items() if r != dropped}
+        regions, owners, members = state.incidence
+        kept = owners < len(regions) - 1  # every region but the one of the largest key
+        state.incidence = regions[:-1], owners[kept], members[kept]
         return state
 
     monkeypatch.setattr(relucx.cli, "build_complex", build_missing_one_region)

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import concat, entries_of, entry, from_text, key_of, replace, zero_positions
 from relucx import product
-from relucx.signs import completion_keys, cube_closure, n_zeros, pack, text, unpack
+from relucx.signs import completions, cube_closure, n_zeros, pack, text, unpack
 
 
 def naive_product(a: int, b: int, n: int) -> int:
@@ -28,17 +28,17 @@ def reference_cube_completions(a: int, n: int, values=(-1, 0, 1)):
         yield s
 
 
-def reference_cube_closure(vertex_keys, n: int) -> dict[int, set[int]]:
-    """The closure over `reference_cube_completions`, graded by zero count."""
+def reference_cube_closure(vertex_keys, n: int) -> dict[int, tuple[int, ...]]:
+    """The closure over `reference_cube_completions`, graded by zero count, each grade sorted."""
     graded: dict[int, set[int]] = {}
     for v in vertex_keys:
         for cell in reference_cube_completions(v, n):
             graded.setdefault(n_zeros(cell, n), set()).add(cell)
-    return graded
+    return {zeros: tuple(sorted(graded[zeros])) for zeros in sorted(graded)}
 
 
 def cube_completions(a: int, n: int, values=(-1, 0, 1)) -> list[int]:
-    return list(completion_keys(a, n, values, {}))
+    return completions([a], [zero_positions(a, n)], n, values)[0].tolist()
 
 
 def all_keys(n: int) -> list[int]:
@@ -85,6 +85,17 @@ def equal_length_vertex_sets(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     seqs = draw(st.lists(sparse_zero_sequences(n, max_zeros=4), min_size=0, max_size=8))
     return [key for key, _ in seqs], n
+
+
+@st.composite
+def equal_zero_vertex_sets(draw):
+    """(keys, n, n0): up to eight keys of n = 1..40 entries, each with n0 = 1..4 zeros."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    n0 = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    zero_sets = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=n0, max_size=n0)
+    signs = st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(zero_sets, signs), min_size=1, max_size=8))
+    return [key_of([0 if i in zs else s for i, s in enumerate(ss)]) for zs, ss in rows], n, n0
 
 
 @st.composite
@@ -186,7 +197,23 @@ def test_closure_matches_reference(verts):
     keys, n = verts
     got, want = cube_closure(keys, n), reference_cube_closure(keys, n)
     assert list(got) == list(want)  # grades in the same order
-    assert got == want
+    assert got == want  # each grade ascending
+
+
+@settings(max_examples=200)
+@given(equal_zero_vertex_sets(), st.sampled_from([(-1, 0, 1), (-1, 1)]))
+@example(([key_of([0] + [1] * 38 + [0]), key_of([-1] * 36 + [0, 1, 0, -1])], 40, 2), (-1, 0, 1))
+@example(([key_of([0, 0, 0, 0] + [1, -1] * 14)], 32, 4), (-1, 1))
+def test_array_completions_and_closure_match_reference(verts, values):
+    keys, n, n0 = verts
+    got = completions(keys, [zero_positions(key, n) for key in keys], n, values)
+    assert got.shape == (len(keys), len(values) ** n0)
+    assert got.dtype == (np.int64 if n <= 31 else object)
+    assert got.tolist() == [list(reference_cube_completions(key, n, values)) for key in keys]
+    got, want = cube_closure(keys, n), reference_cube_closure(keys, n)
+    assert list(got) == list(want) == list(range(n0 + 1))  # every grade, ascending
+    assert got == want  # each grade ascending
+    assert all(type(cell) is int for grade in got.values() for cell in grade)
 
 
 def test_closure_rejects_mixed_lengths():
