@@ -5,7 +5,6 @@ from .model import (
     AffineLayer,
     ModelFormatError,
     ReluNetwork,
-    node_map_values,
     node_map_value_matrix,
     random_init,
     read_model,
@@ -35,6 +34,6 @@ from .topology import (
     gf2_rank,
     render_db_svg,
 )
-from .oracle import SampleGrid, arrangement_counts, perturb_check, sample_region_signs
+from .oracle import SampleGrid, sample_region_signs
 
 __version__ = "0.1.0"

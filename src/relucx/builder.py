@@ -253,16 +253,10 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     """
     mats = normals[ids[:, None], rows]
     rhss = offsets[ids[:, None], rows]
-    try:
-        xs = np.linalg.solve(mats, -rhss[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Some member is exactly singular (parallel within the region, e.g. a
-        # new-layer map that is constant there); solve the others.  A zero
-        # slogdet sign is the LU factorisation's zero pivot that solve rejects.
-        xs = np.full(rhss.shape, np.nan)
-        ok = np.linalg.slogdet(mats)[0] != 0
-        if ok.any():
-            xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
+    # a zero slogdet sign is the zero LU pivot that solve rejects: those stay NaN
+    ok = np.linalg.slogdet(mats)[0] != 0
+    xs = np.full(rhss.shape, np.nan)
+    xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
     signs = region_signs[ids]
     unsolved = np.ones((len(rows), normals.shape[1]), dtype=bool)
     unsolved[np.arange(len(rows))[:, None], rows] = False

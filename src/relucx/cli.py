@@ -36,7 +36,7 @@ from .model import (
     read_model,
 )
 from .oracle import SampleGrid, sample_region_signs
-from .signs import n_zeros, text
+from .signs import text
 from .topology import (
     BoundaryInconsistent,
     ClosureViolation,
@@ -320,8 +320,7 @@ def _write_build_outputs(out: Path, state, cx, report) -> None:
             row = {"coords": coords, "signs": signs, "zero_set": zero_set, "residual": residual}
             fh.write(json.dumps(row) + "\n")
     with open(out / "complex.jsonl", "w") as fh:
-        for key in sorted(cx.cells):
-            dim = cx.n0 - n_zeros(key, cx.n)
+        for key, dim in sorted((key, d) for d, grade in enumerate(cx.grading) for key in grade):
             fh.write(json.dumps({"signs": text(key, cx.n), "dim": dim}) + "\n")
     with open(out / "betti.json", "w") as fh:
         json.dump(

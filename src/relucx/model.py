@@ -19,7 +19,6 @@ __all__ = [
     "AffineLayer",
     "ReluNetwork",
     "ModelFormatError",
-    "node_map_values",
     "node_map_value_matrix",
     "region_affine_maps",
     "stacked_region_affine_maps",
@@ -110,11 +109,6 @@ def node_map_value_matrix(net: ReluNetwork, points: np.ndarray) -> np.ndarray:
             if t < len(net.layers) - 1:
                 h = np.maximum(z, 0.0)
     return np.concatenate(cols, axis=1)
-
-
-def node_map_values(net: ReluNetwork, x: np.ndarray) -> np.ndarray:
-    """Values of all N node maps at a single input point."""
-    return node_map_value_matrix(net, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def region_affine_maps(

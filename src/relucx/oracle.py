@@ -1,4 +1,4 @@
-"""Independent checks of the builder: grid sampling and closed-form counts.
+"""An independent check of the builder: grid sampling of the regions.
 
 The sampled route never touches the solver: it evaluates the network's node
 maps on a dense grid and records which all-nonzero sign patterns occur.
@@ -14,19 +14,17 @@ node maps but not on the resolution; time grows as resolution**n0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import isfinite
 from typing import Iterator
 
 import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix
-from .signs import pack, unpack
+from .signs import pack
 
 __all__ = [
     "SampleGrid",
     "sample_region_signs",
-    "arrangement_counts",
-    "perturb_check",
 ]
 
 # Grid points evaluated at once by sample_region_signs.
@@ -97,39 +95,3 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
         keep = np.all(np.abs(vals) >= _EXCLUSION_TOL, axis=1)
         keys.update(np.unique(pack(np.where(vals[keep] > 0, 1, -1))).tolist())
     return keys
-
-
-def arrangement_counts(n0: int, n1: int) -> tuple[int, int]:
-    """(vertices, regions) of a generic arrangement of n1 hyperplanes in R^n0."""
-    if n0 < 1 or n1 < 0:
-        raise ValueError("need n0 >= 1 and n1 >= 0")
-    vertices = comb(n1, n0)
-    regions = sum(comb(n1, i) for i in range(n0 + 1))
-    return vertices, regions
-
-
-def perturb_check(
-    net: ReluNetwork, key: int, coords, epsilon: float = 1e-4, trials: int = 64
-) -> bool:
-    """Probe a sphere of radius epsilon around a claimed vertex of a full build.
-
-    The vertex is at `coords` with packed sign sequence `key`, as in row i
-    of a built state: `state.coords[i]` and `state.vertices[i]`.
-
-    Genuine vertices show both signs of every zero coordinate among the
-    probes while every nonzero coordinate holds its sign.  Deterministic:
-    the probe directions come from a generator seeded with 0.
-    """
-    u = np.random.default_rng(0).standard_normal((trials, net.n0))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    pts = np.asarray(coords, dtype=float) + epsilon * u
-    vals = node_map_value_matrix(net, pts)
-    for i, s in enumerate(unpack([key], net.num_node_maps)[0].tolist()):
-        col = vals[:, i]
-        if s == 0:
-            if not ((col > 0).any() and (col < 0).any()):
-                return False
-        else:
-            if not np.all(np.sign(col) == s):
-                return False
-    return True

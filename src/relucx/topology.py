@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import ReluNetwork, node_map_values, region_affine_maps
+from .model import ReluNetwork, stacked_region_affine_maps
 from .signs import cube_closure, facet_keys, text, unpack
 
 __all__ = [
@@ -259,26 +259,29 @@ def render_db_svg(
     def to_svg(pt: np.ndarray) -> tuple[float, float]:
         return ((pt[0] - lo) * scale, (hi - pt[1]) * scale)
 
+    keys = db.grading[1]
+    entries = unpack(keys, db.n)
+    normals, offsets = stacked_region_affine_maps(net, entries[:, :-1] > 0, net.depth + 1)
     segments = []
-    for key in db.grading[1]:
-        entries = unpack([key], db.n)[0]
-        normals, offsets = region_affine_maps(net, entries[:-1], net.depth + 1)
-        normal, offset = normals[-1], offsets[-1]
+    for key, row, maps, offset in zip(keys, entries, normals, offsets[:, -1]):
+        normal = maps[-1]
         norm = float(np.linalg.norm(normal))
         if norm == 0.0:
             continue
         direction = np.array([-normal[1], normal[0]]) / norm
-        facets = facet_keys(key, db.n)
-        ends = [np.asarray(vertex_coords[f], dtype=float) for f in facets if f in vertex_coords]
-        reach = 4.0 * span + 4.0 * max((float(np.max(np.abs(e))) for e in ends), default=0.0)
+        # each present facet with the hidden map that vanishes there
+        ends = [
+            (i, np.asarray(vertex_coords[f], dtype=float))
+            for i, f in zip(np.flatnonzero(row), facet_keys(key, db.n))
+            if f in vertex_coords
+        ]
+        reach = 4.0 * span + 4.0 * max((float(np.max(np.abs(e))) for _, e in ends), default=0.0)
         if len(ends) == 2:
-            a, b = ends
+            (_, a), (_, b) = ends
         elif len(ends) == 1:
-            v = ends[0]
-            eps = 1e-4 * span
-            probe = node_map_values(net, v + eps * direction)
-            hidden_ok = np.array_equal(probe[:-1] > 0, entries[:-1] > 0)
-            d = direction if hidden_ok else -direction
+            # the ray leaves its vertex on the edge's side of the map vanishing there
+            (i, v), = ends
+            d = direction if np.sign(maps[i] @ direction) == row[i] else -direction
             a, b = v, v + reach * d
         else:
             center = np.array([(lo + hi) / 2.0, (lo + hi) / 2.0])

@@ -666,20 +666,19 @@ def test_batched_search_with_singular_members(monkeypatch):
             AffineLayer(np.ones((1, 2)), np.array([-0.7])),
         ),
     )
-    solve = np.linalg.solve
-    singular_batches = []
+    slogdet = np.linalg.slogdet
+    # per block, the members of slogdet sign 0; solve would raise on one, so the
+    # build matching the reference shows they were left unsolved
+    singular = []
 
-    def spy(a, b):
-        try:
-            return solve(a, b)
-        except np.linalg.LinAlgError:
-            if np.ndim(a) == 3:
-                singular_batches.append(len(a))
-            raise
+    def spy(a):
+        result = slogdet(a)
+        singular.append(int((result[0] == 0).sum()))
+        return result
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
     assert_layers_match_reference(net)
-    assert singular_batches
+    assert sum(singular) > 0
 
 
 def test_candidate_outside_its_region_is_not_refused(tmp_path, capsys):
@@ -999,10 +998,10 @@ def test_no_solve_exceeds_one_block(monkeypatch, budget):
     assert max(batches) <= max(count for count, _ in blocks)
 
 
-@pytest.mark.parametrize("arch,systems", [((2, 8, 8, 1), 890), ((3, 6, 6, 1), 6078)])
+@pytest.mark.parametrize("arch,systems", [((2, 8, 8, 1), 890), ((3, 6, 6, 1), 4035)])
 def test_solved_systems_are_pinned(monkeypatch, arch, systems):
-    # the systems np.linalg.solve sees in a build, a singular block's retry
-    # included; before the face screen they were 2508 and 9678
+    # the systems np.linalg.solve sees in a build, which factorises no block
+    # twice; before the face screen they were 2508 and 9678
     solve = np.linalg.solve
     batches = []
 

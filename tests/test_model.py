@@ -10,7 +10,6 @@ from relucx import (
     ModelFormatError,
     ReluNetwork,
     node_map_value_matrix,
-    node_map_values,
     random_init,
     read_model,
     region_affine_maps,
@@ -18,6 +17,11 @@ from relucx import (
 )
 from relucx.model import network_from_dict, network_to_dict, stacked_region_affine_maps
 from relucx.signs import unpack
+
+
+def node_map_values(net, x):
+    """Values of all node maps at one input point."""
+    return node_map_value_matrix(net, [x])[0]
 
 
 def forward_oracle(net, x):

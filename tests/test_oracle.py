@@ -1,20 +1,14 @@
-"""Grid-sampling soundness, arrangement combinatorics, vertex perturbation."""
+"""Grid-sampling soundness and vertex perturbation."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from relucx import (
-    SampleGrid,
-    arrangement_counts,
-    build_complex,
-    perturb_check,
-    random_init,
-    sample_region_signs,
-)
+from relucx import SampleGrid, build_complex, random_init, sample_region_signs
 from relucx.model import node_map_value_matrix
 from relucx.oracle import CHUNK_POINTS
+from relucx.signs import unpack
 from conftest import key_of
 
 
@@ -127,13 +121,29 @@ def test_sampling_memory_does_not_grow_with_resolution():
     assert peak < 64e6
 
 
-def test_arrangement_counts_values():
-    assert arrangement_counts(2, 2) == (1, 4)
-    assert arrangement_counts(2, 5) == (10, 16)
-    assert arrangement_counts(3, 5) == (10, 26)
-    assert arrangement_counts(2, 0) == (0, 1)
-    with pytest.raises(ValueError):
-        arrangement_counts(0, 3)
+def perturb_check(net, key, coords, epsilon=1e-4, trials=64):
+    """Probe a sphere of radius epsilon around a claimed vertex of a full build.
+
+    The vertex is at `coords` with packed sign sequence `key`, as in row i
+    of a built state: `state.coords[i]` and `state.vertices[i]`.
+
+    Genuine vertices show both signs of every zero coordinate among the
+    probes while every nonzero coordinate holds its sign.  Deterministic:
+    the probe directions come from a generator seeded with 0.
+    """
+    u = np.random.default_rng(0).standard_normal((trials, net.n0))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts = np.asarray(coords, dtype=float) + epsilon * u
+    vals = node_map_value_matrix(net, pts)
+    for i, s in enumerate(unpack([key], net.num_node_maps)[0].tolist()):
+        col = vals[:, i]
+        if s == 0:
+            if not ((col > 0).any() and (col < 0).any()):
+                return False
+        else:
+            if not np.all(np.sign(col) == s):
+                return False
+    return True
 
 
 def test_perturb_check_accepts_built_vertices(hand_net):

@@ -1,6 +1,7 @@
 """Complex assembly, GF(2) boundary maps, compactified Betti numbers, SVG."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,14 @@ from relucx import (
     gf2_rank,
     product,
     random_init,
+    region_affine_maps,
     render_db_svg,
 )
-from conftest import entry, key_of, replace
-from relucx.signs import n_zeros
+import relucx.model
+import relucx.topology
+from conftest import entries_of, entry, key_of, replace
+from relucx.model import node_map_value_matrix
+from relucx.signs import facet_keys, n_zeros, text
 
 
 def assemble_state(state):
@@ -289,6 +294,55 @@ def test_render_db_svg_hand_example(hand_net, tmp_path):
     assert 'x1="400.000" y1="300.000" x2="400.000" y2="600.000"' in text
     assert 'cx="300.000" cy="200.000"' in text
     assert 'cx="400.000" cy="300.000"' in text
+
+
+def test_render_db_svg_one_map_call_and_ray_sides(monkeypatch, tmp_path):
+    # the edges' maps come from one stacked call, and a ray's side from the signs
+    # of the map vanishing at its vertex, with no node map evaluated; this net has
+    # rays leaving their vertex along each direction of their line
+    net = random_init((2, 6, 6, 6, 1), 0)
+    state = build_complex(net)
+    db = decision_boundary(assemble_state(state))
+    coords = dict(zip(state.vertices, state.coords))
+    hi = float(np.abs(state.coords).max()) + 1.0  # every vertex inside the box
+    rays = {}  # title -> vertex and ray direction, probed beside the vertex
+    for key in db.grading[1]:
+        ends = [coords[f] for f in facet_keys(key, db.n) if f in coords]
+        if len(ends) == 1:
+            entries = np.array(entries_of(key, db.n))
+            normal = region_affine_maps(net, entries[:-1], net.depth + 1)[0][-1]
+            d = np.array([-normal[1], normal[0]]) / np.linalg.norm(normal)
+            probe = node_map_value_matrix(net, [ends[0] + 2e-4 * hi * d])[0]
+            ahead = np.array_equal(np.sign(probe[:-1]), entries[:-1])
+            rays[text(key, db.n)] = (ends[0], d if ahead else -d, ahead)
+    assert {ahead for _, _, ahead in rays.values()} == {True, False}
+
+    calls = {"maps": 0, "values": 0}
+    stacked, values = relucx.topology.stacked_region_affine_maps, node_map_value_matrix
+
+    def map_spy(*args):
+        calls["maps"] += 1
+        return stacked(*args)
+
+    def value_spy(*args):
+        calls["values"] += 1
+        return values(*args)
+
+    monkeypatch.setattr(relucx.topology, "stacked_region_affine_maps", map_spy)
+    monkeypatch.setattr(relucx.model, "node_map_value_matrix", value_spy)
+    monkeypatch.setattr(relucx.topology, "node_map_value_matrix", value_spy, raising=False)
+    out = tmp_path / "db.svg"
+    render_db_svg(net, coords, db, (-hi, hi), str(out))
+    assert calls == {"maps": 1, "values": 0}
+
+    scale = 600 / (2 * hi)
+    lines = re.findall(r'x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)" .*?<title>(\S+)</title>',
+                       out.read_text())
+    drawn = {title: np.array(ends, dtype=float) for *ends, title in lines}
+    for title, (v, d, _) in rays.items():
+        x1, y1, x2, y2 = drawn[title]
+        assert np.allclose([x1, y1], [(v[0] + hi) * scale, (hi - v[1]) * scale], atol=1e-3)
+        assert (x2 - x1) * d[0] - (y2 - y1) * d[1] > 0
 
 
 def test_render_db_svg_requires_plane(tmp_path):
