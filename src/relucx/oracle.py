@@ -5,10 +5,14 @@ maps on a dense grid and records which all-nonzero sign patterns occur.
 Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
 
-The grid is streamed in chunks of CHUNK_POINTS points, and each chunk's sign
-rows are packed into keys (`signs.pack`) and deduplicated before the next
-chunk is evaluated, so memory depends on the chunk size and the number of
-node maps but not on the resolution; time grows as resolution**n0.
+The grid is streamed in chunks of CHUNK_BYTES bytes of node-map values, so a
+chunk has fewer points the more node maps the network has and its memory
+depends on neither the resolution nor the number of node maps; time grows as
+resolution**n0.  Each value becomes a signed entry, 0 within the exclusion
+band, and each chunk's entry rows are packed into keys (`signs.pack`) and
+deduplicated, first against the previous point in scan order and then with
+`np.unique`.  Only the distinct keys are screened: those with a zero field,
+from a point near a node map's zero set, are dropped after the last chunk.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from typing import Iterator
 import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix
-from .signs import pack
+from .signs import n_zeros, pack
 
 __all__ = [
     "SampleGrid",
     "sample_region_signs",
 ]
 
-# Grid points evaluated at once by sample_region_signs.
-CHUNK_POINTS = 1 << 16
+# Bytes of node-map values evaluated at once by sample_region_signs.
+CHUNK_BYTES = 1 << 18
 
 _EXCLUSION_TOL = 1e-6
 
@@ -60,11 +64,11 @@ class SampleGrid:
     def square(cls, lo: float, hi: float, n0: int, resolution: int) -> "SampleGrid":
         return cls((lo,) * n0, (hi,) * n0, resolution)
 
-    def chunks(self) -> Iterator[np.ndarray]:
-        """The grid points in row-major order, CHUNK_POINTS rows at a time.
+    def chunks(self, size: int) -> Iterator[np.ndarray]:
+        """The grid points in row-major order, `size` rows at a time.
 
         The rows are those of `meshgrid(*axes, indexing="ij")` raveled, in
-        the same order; every chunk but the last has CHUNK_POINTS rows.
+        the same order; every chunk but the last has `size` rows.
         """
         axes = [
             np.linspace(lo, hi, self.resolution)
@@ -72,8 +76,8 @@ class SampleGrid:
         ]
         shape = (self.resolution,) * len(axes)
         total = self.resolution ** len(axes)
-        for start in range(0, total, CHUNK_POINTS):
-            flat = np.arange(start, min(start + CHUNK_POINTS, total))
+        for start in range(0, total, size):
+            flat = np.arange(start, min(start + size, total))
             index = np.unravel_index(flat, shape)
             yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
@@ -83,15 +87,18 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
 
     Points with any node map within _EXCLUSION_TOL of zero are dropped (NaN
     values too), so every returned sequence is a genuine open-region
-    sample; an infinite value keeps its sign.  The grid is evaluated one
-    chunk at a time, and only the distinct keys of each chunk are kept, so
-    memory does not depend on the grid's resolution.
+    sample; an infinite value keeps its sign.  A chunk holds CHUNK_BYTES of
+    node-map values and only its distinct keys are kept, so memory depends
+    on neither the grid's resolution nor the number of node maps.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
+    n = net.num_node_maps
     keys: set[int] = set()
-    for points in grid.chunks():
+    for points in grid.chunks(max(1, CHUNK_BYTES // (8 * n))):
         vals = node_map_value_matrix(net, points)
-        keep = np.all(np.abs(vals) >= _EXCLUSION_TOL, axis=1)
-        keys.update(np.unique(pack(np.where(vals[keep] > 0, 1, -1))).tolist())
-    return keys
+        # +1 / -1 outside the exclusion band, 0 inside it and for NaN
+        entries = (vals >= _EXCLUSION_TOL).view(np.int8) - (vals <= -_EXCLUSION_TOL).view(np.int8)
+        k = pack(entries)
+        keys.update(np.unique(k[np.concatenate(([True], k[1:] != k[:-1]))]).tolist())
+    return {key for key in keys if not n_zeros(key, n)}

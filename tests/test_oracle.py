@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from relucx import SampleGrid, build_complex, random_init, sample_region_signs
+from relucx import oracle
 from relucx.model import node_map_value_matrix
-from relucx.oracle import CHUNK_POINTS
 from relucx.signs import unpack
 from conftest import key_of
 
@@ -44,16 +44,30 @@ def test_sample_grid_rejects_more_points_than_an_index_reaches():
             SampleGrid.square(0.0, 1.0, n0, resolution)
 
 
-def test_sample_grid_chunks():
+def test_sample_grid_chunks(monkeypatch):
     grid = SampleGrid.square(-1.0, 1.0, 2, 3)
-    pts = np.concatenate(list(grid.chunks()))
     mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 3)] * 2, indexing="ij")
-    assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=1))
-    assert [tuple(p) for p in pts[:3]] == [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)]
+    for size in (1, 2, 9, 10):
+        pts = np.concatenate(list(grid.chunks(size)))
+        assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=1))
+        assert [tuple(p) for p in pts[:3]] == [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)]
 
+    # sample_region_signs sizes its chunks by CHUNK_BYTES of node-map values
+    sizes = []
+    chunks_of = SampleGrid.chunks
+
+    def chunks(grid, size):
+        sizes.append(size)
+        return chunks_of(grid, size)
+
+    monkeypatch.setattr(SampleGrid, "chunks", chunks)
     grid = SampleGrid((-2.0, 0.5), (3.0, 4.0), 300)
-    chunks = list(grid.chunks())
-    assert len(chunks) == 2 and len(chunks[0]) == CHUNK_POINTS
+    net = random_init((2, 5, 5, 1), 0)  # 11 node maps
+    sample_region_signs(net, grid)
+    assert sizes == [oracle.CHUNK_BYTES // (8 * 11)]
+    chunks = list(grid.chunks(sizes[0]))
+    assert len(chunks) == -(-(300**2) // sizes[0])
+    assert all(len(c) == sizes[0] for c in chunks[:-1]) and 0 < len(chunks[-1]) <= sizes[0]
     assert sum(len(c) for c in chunks) == 300**2
     assert tuple(chunks[0][0]) == (-2.0, 0.5) and tuple(chunks[-1][-1]) == (3.0, 4.0)
 
@@ -101,7 +115,7 @@ def test_streamed_sampling_matches_reference(arch, seed, box, resolution):
     grid = SampleGrid.square(-box, box, arch[0], resolution)
     with np.errstate(over="ignore", invalid="ignore"):
         if box > 1e300:
-            vals = node_map_value_matrix(net, np.concatenate(list(grid.chunks())))
+            vals = node_map_value_matrix(net, np.concatenate(list(grid.chunks(4096))))
             assert np.isinf(vals).sum() > 1000 and np.isnan(vals).any()
         sampled = sample_region_signs(net, grid)
         assert sampled and sampled == reference_sample_region_signs(net, grid)
@@ -119,6 +133,63 @@ def test_sampling_memory_does_not_grow_with_resolution():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("chunk_points", [1, 101, None], ids=["one-point", "prime", "whole-grid"])
+@pytest.mark.parametrize(
+    "arch,seed,box,resolution",
+    [
+        (None, None, 8.0, 33),  # hand_net: step 0.5, so many points lie exactly on its lines
+        ((2, 40, 30, 1), 0, 15.0, 40),  # 71 node maps: keys beyond int64
+        ((2, 8, 8, 1), 0, 7.5e307, 64),  # node values overflow to +-inf and NaN
+    ],
+    ids=["hand", "wide-keys", "overflow"],
+)
+def test_sampling_does_not_depend_on_chunk_size(
+    monkeypatch, hand_net, chunk_points, arch, seed, box, resolution
+):
+    net = hand_net if arch is None else random_init(arch, seed)
+    grid = SampleGrid.square(-box, box, net.n0, resolution)
+    points = np.concatenate(list(grid.chunks(4096)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = node_map_value_matrix(net, points)
+    if arch is None:  # excluded points fall inside runs and at chunk edges
+        on_line = np.flatnonzero((whole == 0).any(axis=1))
+        assert len(on_line) > 50 and (np.diff(on_line) == 1).any()
+        assert (on_line % 101 == 0).any() and (on_line % 101 == 100).any()
+
+    # Each chunk's values are read from the one whole-grid evaluation: matmul
+    # rounds a row differently by the number of rows it is given, so a value
+    # near the float maximum can overflow in a one-row call and not in the
+    # whole grid's.  This test is about the chunking, not about that rounding.
+    seen = [0]
+
+    def chunk_values(net_, chunk):
+        start = seen[0]
+        seen[0] += len(chunk)
+        assert net_ is net and np.array_equal(chunk, points[start : seen[0]])
+        return whole[start : seen[0]]
+
+    monkeypatch.setattr(oracle, "node_map_value_matrix", chunk_values)
+    chunk_bytes = 8 * net.num_node_maps * (chunk_points or len(points))
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    sampled = sample_region_signs(net, grid)
+    assert seen[0] == len(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sampled and sampled == reference_sample_region_signs(net, grid)
+
+
+def test_sampling_memory_does_not_grow_with_node_maps():
+    net = random_init((2, 60, 60, 1), 0)  # 121 node maps
+    grid = SampleGrid.square(-20.0, 20.0, 2, 256)
+    tracemalloc.start()
+    try:
+        sample_region_signs(net, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the grid's value matrix is 63 MB; one chunk's values are CHUNK_BYTES
+    assert peak < 4e6
 
 
 def perturb_check(net, key, coords, epsilon=1e-4, trials=64):
