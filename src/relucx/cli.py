@@ -312,6 +312,10 @@ def _out_error(exc: OSError) -> int:
     return EXIT_BAD_MODEL
 
 
+def _betti_fields(report) -> dict:
+    return {"betti": list(report.betti), "bounded": report.bounded, "unbounded": report.unbounded}
+
+
 def _write_build_outputs(out: Path, state, cx, report) -> None:
     columns = (state.coords.tolist(), state.zero_sets.tolist(), state.residuals.tolist())
     with open(out / "vertices.jsonl", "w") as fh:
@@ -323,15 +327,7 @@ def _write_build_outputs(out: Path, state, cx, report) -> None:
         for key, dim in sorted((key, d) for d, grade in enumerate(cx.grading) for key in grade):
             fh.write(json.dumps({"signs": text(key, cx.n), "dim": dim}) + "\n")
     with open(out / "betti.json", "w") as fh:
-        json.dump(
-            {
-                "betti": list(report.betti),
-                "bounded": report.bounded,
-                "unbounded": report.unbounded,
-            },
-            fh,
-        )
-        fh.write("\n")
+        fh.write(json.dumps(_betti_fields(report)) + "\n")
 
 
 def cmd_build(args) -> int:
@@ -357,18 +353,8 @@ def cmd_build(args) -> int:
     except OSError as exc:
         return _out_error(exc)
     counts = cx.dim_counts()
-    print(
-        json.dumps(
-            {
-                "vertices": counts[0],
-                "cells": sum(counts),
-                "regions": counts[-1],
-                "betti": list(report.betti),
-                "bounded": report.bounded,
-                "unbounded": report.unbounded,
-            }
-        )
-    )
+    fields = {"vertices": counts[0], "cells": sum(counts), "regions": counts[-1]}
+    print(json.dumps({**fields, **_betti_fields(report)}))
     return EXIT_OK
 
 

@@ -96,19 +96,27 @@ class ReluNetwork:
 
 
 def node_map_value_matrix(net: ReluNetwork, points: np.ndarray) -> np.ndarray:
-    """Node map values, rows points and columns node maps; overflow gives inf or nan quietly."""
+    """Node map values, rows points and columns node maps; overflow gives inf or nan quietly.
+
+    Evaluated node-map-major: each layer's `weights @ h` fills its rows of one
+    (N, P) block, returned transposed.  BLAS picks its kernel by shape, so a
+    value's last bits (near the float maximum, whether it overflows) can depend
+    on how many points one call gets: compare chunkings on one call's values.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != net.n0:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {net.n0}")
-    cols = []
-    h = pts
+    block = np.empty((net.num_node_maps, len(pts)))
+    h, start = pts.T, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, layer in enumerate(net.layers):
-            z = h @ layer.weights.T + layer.bias
-            cols.append(z)
-            if t < len(net.layers) - 1:
-                h = np.maximum(z, 0.0)
-    return np.concatenate(cols, axis=1)
+        for layer in net.layers:
+            rows = block[start : start + len(layer.bias)]
+            start += len(rows)
+            np.matmul(layer.weights, h, out=rows)
+            del h  # hold one layer's activations at a time
+            rows += layer.bias[:, None]
+            h = np.maximum(rows, 0.0)
+    return block.T
 
 
 def region_affine_maps(

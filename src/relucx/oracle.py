@@ -5,14 +5,14 @@ maps on a dense grid and records which all-nonzero sign patterns occur.
 Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
 
-The grid is streamed in chunks of CHUNK_BYTES bytes of node-map values, so a
-chunk has fewer points the more node maps the network has and its memory
-depends on neither the resolution nor the number of node maps; time grows as
-resolution**n0.  Each value becomes a signed entry, 0 within the exclusion
-band, and each chunk's entry rows are packed into keys (`signs.pack`) and
-deduplicated, first against the previous point in scan order and then with
-`np.unique`.  Only the distinct keys are screened: those with a zero field,
-from a point near a node map's zero set, are dropped after the last chunk.
+The grid is streamed in chunks of CHUNK_BYTES bytes of node-map values, so
+memory depends on neither the resolution nor the number of node maps; time
+grows as resolution**n0.  A chunk's values are one node-map-major call of
+`node_map_value_matrix`; each becomes a signed entry, 0 within the exclusion
+band.  Entry rows are packed into keys by exact float64 matvecs (`signs.pack`)
+and deduplicated against the previous point in scan order, then by
+`np.unique`.  Distinct keys with a zero field, from a point near a node map's
+zero set, are dropped after the last chunk.
 """
 
 from __future__ import annotations

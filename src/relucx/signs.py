@@ -31,9 +31,11 @@ __all__ = [
     "unpack",
 ]
 
-# Two-bit fields per int64 word while packing and unpacking: keys of up to
-# this many entries are int64 arrays, longer ones arrays of Python ints.
+# Keys of up to this many two-bit fields are int64 arrays, longer ones Python ints.
 _WORD_FIELDS = 31
+# Fields summed by one float64 matvec in `pack`: every product and partial sum
+# is an integer below 2 * 4**26 / 3 < 2**53, so the sum is exact in any order.
+_FLOAT_FIELDS = 26
 
 _ENTRY_TEXT = ("-1", "0", "1")  # by code
 
@@ -57,16 +59,17 @@ def pack(rows) -> np.ndarray:
     """Keys of the rows of an (R, n) array of entries in {-1, 0, +1}, as an (R,) array.
 
     The array is int64 for n <= 31 and holds Python ints otherwise; its
-    `tolist()` gives Python ints either way.
+    `tolist()` gives Python ints either way.  Each word of up to _FLOAT_FIELDS
+    fields is one exact float64 matvec of the rows against powers of 4.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[1]
     keys = np.zeros(len(rows), dtype=np.int64 if n <= _WORD_FIELDS else object)
-    for lo in range(0, n, _WORD_FIELDS):
-        width = min(_WORD_FIELDS, n - lo)
-        weights = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        # sum (e + 1) * w, without a copy of the rows for the + 1
-        keys = keys << 2 * width | rows[:, lo : lo + width] @ weights + weights.sum()
+    for lo in range(0, n, _FLOAT_FIELDS):
+        weights = 4.0 ** np.arange(min(_FLOAT_FIELDS, n - lo) - 1, -1, -1)
+        # sum (e + 1) * w without a copy of the rows for the + 1; k weights sum to (4**k - 1) / 3
+        word = rows[:, lo : lo + len(weights)] @ weights + (4.0 ** len(weights) - 1) / 3
+        keys = keys << 2 * len(weights) | word.astype(np.int64)
     return keys
 
 

@@ -1,5 +1,7 @@
 """Network structure, node-map evaluation, region functionals, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,20 @@ def test_values_match_forward_oracle():
         assert vals.shape == (40, net.num_node_maps)
         for row, x in zip(vals, pts):
             assert np.allclose(row, forward_oracle(net, x), rtol=0, atol=1e-12)
+
+
+def test_value_matrix_holds_one_layer_of_activations():
+    net = random_init((2, 60, 60, 1), 0)  # 121 node maps, hidden layers of 60
+    pts = np.random.default_rng(0).uniform(-20.0, 20.0, (4096, 2))
+    tracemalloc.start()
+    try:
+        vals = node_map_value_matrix(net, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (P, N) result plus one hidden layer's activations, 60/121 of it;
+    # per-layer arrays and their concatenation hold twice the result
+    assert vals.shape == (4096, 121) and peak < 1.5 * vals.nbytes
 
 
 def test_layer_one_values_exact():

@@ -313,7 +313,7 @@ def test_face_relation_is_partial_order(triple):
 
 @settings(max_examples=100)
 @given(
-    st.sampled_from((1, 31, 32, 33, 100)).flatmap(
+    st.sampled_from((1, 26, 27, 31, 32, 33, 52, 53, 100)).flatmap(
         lambda n: st.lists(
             st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n), min_size=1, max_size=6
         )
@@ -326,3 +326,13 @@ def test_pack_unpack_text_round_trip(rows):
     assert all(type(k) is int for k in keys)
     assert unpack(keys, n).tolist() == rows
     assert [text(k, n) for k in keys] == ["(" + ",".join(map(str, row)) + ")" for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_pack_constant_rows_are_exact(n):
+    # all +1 is the largest word sum, and with its last entry 0 the largest odd
+    # one: above 2**53 a float64 holds only even integers
+    rows = [[e] * n for e in (1, 0, -1)] + [[1] * (n - 1) + [0]]
+    keys = pack(np.array(rows, dtype=np.int8)).tolist()
+    assert keys == [key_of(row) for row in rows]
+    assert unpack(keys, n).tolist() == rows
