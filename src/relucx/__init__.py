@@ -8,7 +8,6 @@ from .model import (
     node_map_value_matrix,
     random_init,
     read_model,
-    region_affine_maps,
     write_model,
 )
 from .builder import (

@@ -15,11 +15,11 @@ composed by one stacked `matmul`, and its candidate systems form one index
 array.  A candidate whose face of its region is bounded, but has a new map
 of one sign at all the face's vertices, cannot meet that face and is
 dropped before any solve.  The rest are solved and checked in blocks of as
-many candidates as BLOCK_BYTES of their gathered region normals hold, with
-one batched `solve`, stacked `matmul` and batched `cond` each, which give
-the same bits as one call per candidate; the earliest failing candidate
-refuses the network.  The accepted rows of all blocks are merged
-in one array pass per layer that keeps one vertex per key.
+many candidates as BLOCK_BYTES of their node-map values hold, each with one
+batched `solve` and `cond`, bit-equal to one call per candidate, and one
+forward pass of the network, whose signs at a point are a region's exactly
+in its closure; the earliest failing candidate refuses the network.  Each
+layer merges the accepted rows in one array pass that keeps one vertex per key.
 
 Vertices and regions are keyed by packed sign sequences (`relucx.signs`);
 text is made only for error messages.  A state's vertices are one table of
@@ -75,9 +75,9 @@ _MERGE_TOL = 1e-6
 _DEGENERACY_TOL = 1e-8
 _COND_MAX = 1e12
 
-# Bytes of gathered region normals, (m, n_0) float64 per candidate, that
-# first_layer_vertices and extend_layer solve and check at once: a block
-# bounds the arrays of one step however many candidates a layer has.
+# Bytes of node-map values, N float64 per candidate, that first_layer_vertices
+# and extend_layer solve and check at once: a block bounds the arrays of one
+# step however many candidates a layer has.
 BLOCK_BYTES = 64 * 1024
 
 
@@ -183,7 +183,7 @@ def first_layer_vertices(net: ReluNetwork) -> LayerBuildState:
     rows = np.array(list(combinations(range(n1), n0)), dtype=np.int32)
     layer = net.layers[0]
     return LayerBuildState(1, n1, *_solve_candidates(
-        layer.weights[None], layer.bias[None], np.zeros((1, 0), dtype=np.int8),
+        net, layer.weights[None], layer.bias[None], np.zeros((1, 0), dtype=np.int8),
         np.zeros(len(rows), dtype=np.int32), rows, 0, lambda r, alpha: f"first layer at {alpha}",
     ))
 
@@ -239,8 +239,8 @@ def _layer_candidates(
     return ids[order], rows[order]
 
 
-def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
-    """Solve and exactly check one block of candidates; return the accepted ones.
+def _block_vertices(net, normals, offsets, region_signs, ids, rows, base, context):
+    """Solve one block of candidates, check them by a forward pass of `net`, keep the accepted.
 
     `normals` (R, m, n_0), `offsets` (R, m) and `region_signs` (R, base) hold
     the region maps and signs; candidate c solves rows `rows[c]` of region
@@ -257,19 +257,19 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     ok = np.linalg.slogdet(mats)[0] != 0
     xs = np.full(rhss.shape, np.nan)
     xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
+    vals = node_map_value_matrix(net, xs)[:, : normals.shape[1]]
     signs = region_signs[ids]
-    unsolved = np.ones((len(rows), normals.shape[1]), dtype=bool)
+    unsolved = np.ones(vals.shape, dtype=bool)
     unsolved[np.arange(len(rows))[:, None], rows] = False
     remaining = unsolved[:, :base]
 
-    # Stacked matmul and cond give the same bits as one call per candidate.
     # Structurally parallel systems (new-layer maps that are exact multiples
     # of old ones in a rank-deficient region) solve to a pseudo-solution at
     # ~1/eps scale; backward stability keeps |mat @ x + rhs| tiny for every
     # genuine intersection, so a large residual means "no intersection".
     with np.errstate(invalid="ignore", over="ignore"):
         residual = np.max(np.abs((mats @ xs[..., None])[..., 0] + rhss), axis=1)
-        vals_old = (normals[ids, :base] @ xs[..., None])[..., 0] + offsets[ids, :base]
+        vals_old = vals[:, :base]
         solved = np.isfinite(xs).all(axis=1) & ~(residual > _RESIDUAL_TOL)
         # a remaining map near 0 or not finite refuses only a candidate whose strictly
         # signed remaining maps all match its region: one outside the region is no vertex
@@ -280,8 +280,7 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
         lost = closed & unsure.any(axis=1)
         # the whole space (base 0) checks every candidate, the later layers the closed ones
         walk = np.flatnonzero(closed) if base else np.arange(len(rows))
-        wids = ids[walk]
-        vals_new = (normals[wids, base:] @ xs[walk, :, None])[..., 0] + offsets[wids, base:]
+        vals_new = vals[walk, base:]
     conds = np.linalg.cond(mats[walk])
     free = unsolved[walk, base:]
 
@@ -289,7 +288,7 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
         return tuple(rows[walk[i]].tolist())
 
     def where(i):
-        return context(wids[i], subset(i))
+        return context(ids[walk[i]], subset(i))
 
     def system(i):
         return f"{where(i)}: accepted system" if base else f"first layer: subsystem {subset(i)}"
@@ -310,20 +309,20 @@ def _block_vertices(normals, offsets, region_signs, ids, rows, base, context):
     return keys, xs[walk], np.sort(rows[walk], axis=1), residual[walk], conds
 
 
-def _block_size(normals: np.ndarray) -> int:
-    """Candidates per block: as many as BLOCK_BYTES of their gathered region normals hold."""
-    return max(1, BLOCK_BYTES // normals[0].nbytes)
+def _block_size(net: ReluNetwork) -> int:
+    """Candidates per block: as many as BLOCK_BYTES of their node-map values hold."""
+    return max(1, BLOCK_BYTES // (8 * net.num_node_maps))
 
 
-def _solve_candidates(normals, offsets, region_signs, ids, rows, base, context):
+def _solve_candidates(net, normals, offsets, region_signs, ids, rows, base, context):
     """One vertex per key of all candidates, solved and checked a block at a time.
 
     Takes the arguments of `_block_vertices`; returns `_unique_vertices`' columns.
     """
-    block = _block_size(normals)
+    block = _block_size(net)
     cuts = range(block, len(ids), block)
     blocks = [
-        _block_vertices(normals, offsets, region_signs, block_ids, block_rows, base, context)
+        _block_vertices(net, normals, offsets, region_signs, block_ids, block_rows, base, context)
         for block_ids, block_rows in zip(np.split(ids, cuts), np.split(rows, cuts))
     ]
     return _unique_vertices(*(np.concatenate(part) for part in zip(*blocks)), normals.shape[1])
@@ -365,7 +364,7 @@ def extend_layer(net: ReluNetwork, k: int, state: LayerBuildState) -> LayerBuild
     finite = np.isfinite(normals).all(axis=(1, 2)) & np.isfinite(offsets).all(axis=1)
     _refuse((~finite, lambda r: f"{where(r)}: region map has a non-finite entry"))
     new_keys, *new_columns = _solve_candidates(
-        normals, offsets, region_signs, ids, rows, base, where
+        net, normals, offsets, region_signs, ids, rows, base, where
     )
     # carried keys have no layer-k zero and new ones have at least one, so none collide
     columns = zip((state.coords, state.zero_sets, state.residuals), new_columns)

@@ -20,7 +20,6 @@ __all__ = [
     "ReluNetwork",
     "ModelFormatError",
     "node_map_value_matrix",
-    "region_affine_maps",
     "stacked_region_affine_maps",
     "random_init",
     "read_model",

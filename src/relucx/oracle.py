@@ -9,10 +9,10 @@ The grid is streamed in chunks of CHUNK_BYTES bytes of node-map values, so
 memory depends on neither the resolution nor the number of node maps; time
 grows as resolution**n0.  A chunk's values are one node-map-major call of
 `node_map_value_matrix`; each becomes a signed entry, 0 within the exclusion
-band.  Entry rows are packed into keys by exact float64 matvecs (`signs.pack`)
-and deduplicated against the previous point in scan order, then by
-`np.unique`.  Distinct keys with a zero field, from a point near a node map's
-zero set, are dropped after the last chunk.
+band or if not finite.  Entry rows are packed into keys by exact float64
+matvecs (`signs.pack`) and deduplicated against the previous point in scan
+order, then by `np.unique`.  Distinct keys with a zero field, from a point
+near a node map's zero set or past an overflow, are dropped at the end.
 """
 
 from __future__ import annotations
@@ -85,11 +85,11 @@ class SampleGrid:
 def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
     """Keys of the region sign sequences witnessed by grid points.
 
-    Points with any node map within _EXCLUSION_TOL of zero are dropped (NaN
-    values too), so every returned sequence is a genuine open-region
-    sample; an infinite value keeps its sign.  A chunk holds CHUNK_BYTES of
-    node-map values and only its distinct keys are kept, so memory depends
-    on neither the grid's resolution nor the number of node maps.
+    Points with any node map within _EXCLUSION_TOL of zero or not finite are
+    dropped, so every returned sequence is a genuine open-region sample.  A
+    chunk holds CHUNK_BYTES of node-map values and only its distinct keys are
+    kept, so memory depends on neither the grid's resolution nor the number
+    of node maps.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
@@ -97,8 +97,9 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
     keys: set[int] = set()
     for points in grid.chunks(max(1, CHUNK_BYTES // (8 * n))):
         vals = node_map_value_matrix(net, points)
-        # +1 / -1 outside the exclusion band, 0 inside it and for NaN
+        # +1 / -1 outside the exclusion band, 0 inside it and for a value that is not finite
         entries = (vals >= _EXCLUSION_TOL).view(np.int8) - (vals <= -_EXCLUSION_TOL).view(np.int8)
+        np.copyto(entries, 0, where=np.isinf(vals))
         k = pack(entries)
         keys.update(np.unique(k[np.concatenate(([True], k[1:] != k[:-1]))]).tolist())
     return {key for key in keys if not n_zeros(key, n)}

@@ -23,14 +23,13 @@ from relucx import (
     first_layer_vertices,
     product,
     random_init,
-    region_affine_maps,
     write_model,
 )
 import relucx.builder
 import relucx.topology
 from relucx.builder import _region_incidence, _unique_vertices
 from relucx.cli import _analyze, main
-from relucx.model import node_map_value_matrix
+from relucx.model import node_map_value_matrix, region_affine_maps
 from relucx.signs import n_zeros, unpack
 from conftest import entries_of, from_text, key_of, zero_positions
 from test_signs import equal_zero_vertex_sets, reference_cube_completions
@@ -829,17 +828,23 @@ def test_concurrent_bent_hyperplanes_are_degenerate():
     ],
 )
 def test_non_finite_value_at_a_candidate_is_degenerate(old_first, big, fault):
-    # one region with one old map; the candidate solves x - 2 = y - 2 = 0, where
-    # the third map, old or new, overflows
-    maps = [([1.0, 0.0], -2.0), ([0.0, 1.0], -2.0)]
-    maps.insert(0 if old_first else 2, (big, 0.0))
-    normals, offsets = np.array([[m for m, _ in maps]]), np.array([[c for _, c in maps]])
-    rows = np.array([[1, 2] if old_first else [0, 1]], dtype=np.int32)
-    with pytest.raises(DegenerateNetwork, match=f"^here: {fault}$"):
-        relucx.builder._block_vertices(
-            normals, offsets, np.ones((1, 1), dtype=np.int8), np.zeros(1, dtype=np.int32),
-            rows, 1, lambda r, subset: "here",
-        )
+    # a (2,2,2,1) net where a map with weights of size `big`, old or new, overflows
+    # at a layer-2 candidate while the region's composed maps stay finite
+    big = np.array(big)
+    if old_first:
+        # layer 1 is big / 10 and a row orthogonal to it, layer 2 its inverse: on
+        # region (1,1) the new maps are x - 30 and y - 20, solved at (30, 20), where
+        # the old maps' term 1e307 * 30 is beyond the float range
+        w1 = np.array([big, big * [1, -1]]) / 10
+        hidden = [(w1, [0.0, 0.0]), (w1.T / 1e307 / 2e307, [-30.0, -20.0])]
+    else:
+        # layer 2 is relu(y) - 2 and big . relu(x, y) + 1: the candidate solving the
+        # old map x and the first new map is (0, 2), where the second is +-2e308
+        hidden = [(np.eye(2), [0.0, 0.0]), (np.array([[0.0, 1.0], big]), [-2.0, 1.0])]
+    layers = [AffineLayer(np.array(w), np.array(b)) for w, b in hidden]
+    net = ReluNetwork((2, 2, 2, 1), (*layers, AffineLayer(np.ones((1, 2)), np.array([0.3]))))
+    with pytest.raises(DegenerateNetwork, match=rf"^layer 2, region \([-1,]+\): {fault}$"):
+        build_complex(net)
 
 
 def test_narrow_first_layer_unsupported():
@@ -891,7 +896,7 @@ DEFAULT_BLOCK_SIZE = relucx.builder._block_size
 
 def use_block(monkeypatch, block):
     """Solve `block` candidates at a time, or as many as the default allows for None."""
-    size = DEFAULT_BLOCK_SIZE if block is None else (lambda normals: block)
+    size = DEFAULT_BLOCK_SIZE if block is None else (lambda net: block)
     monkeypatch.setattr(relucx.builder, "_block_size", size)
 
 
@@ -975,14 +980,15 @@ def test_ill_conditioned_accepted_system_raises(monkeypatch):
 
 @pytest.mark.parametrize("budget", [1000, relucx.builder.BLOCK_BYTES])
 def test_no_solve_exceeds_one_block(monkeypatch, budget):
-    # every block's gathered normals fit the budget, or the block is one
-    # candidate, and a layer with candidates to spare fills its blocks
+    # every block's node-map values, 8 bytes for each of the N maps per candidate,
+    # fit the budget, or the block is one candidate, and a layer with candidates
+    # to spare fills its blocks
     block_vertices, solve = relucx.builder._block_vertices, np.linalg.solve
     blocks, batches = [], []
 
-    def block_spy(normals, offsets, region_signs, ids, *args):
-        blocks.append((len(ids), normals[0].nbytes))
-        return block_vertices(normals, offsets, region_signs, ids, *args)
+    def block_spy(net, normals, offsets, region_signs, ids, *args):
+        blocks.append((len(ids), 8 * net.num_node_maps))
+        return block_vertices(net, normals, offsets, region_signs, ids, *args)
 
     def solve_spy(a, b):
         batches.append(int(np.prod(np.shape(a)[:-2], dtype=np.int64)))

@@ -824,6 +824,17 @@ def test_oracle_check_fault_injection(hand_model, capsys, monkeypatch):
     assert report["counts_ok"] is False
 
 
+def test_oracle_check_overflowing_net(tmp_path, capsys):
+    # on this box the net's node maps overflow to +-inf and NaN; a grid point with
+    # a value that is not finite samples no region, and the rest match the build
+    path = tmp_path / "big.json"
+    write_model(random_init((2, 8, 8, 1), 0), str(path))
+    argv = ["oracle-check", "--model", str(path), "--box=-7.5e307,7.5e307", "--resolution", "64"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == []
+
+
 def test_oracle_check_degenerate_model(tmp_path, capsys):
     data = {
         "architecture": [2, 3, 1],

@@ -14,10 +14,14 @@ from relucx import (
     node_map_value_matrix,
     random_init,
     read_model,
-    region_affine_maps,
     write_model,
 )
-from relucx.model import network_from_dict, network_to_dict, stacked_region_affine_maps
+from relucx.model import (
+    network_from_dict,
+    network_to_dict,
+    region_affine_maps,
+    stacked_region_affine_maps,
+)
 from relucx.signs import unpack
 
 

@@ -17,7 +17,7 @@ def reference_sample_region_signs(net, grid, exclusion_tol=1e-6):
     axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in zip(grid.lower, grid.upper)]
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = node_map_value_matrix(net, np.stack([m.ravel() for m in mesh], axis=1))
-    keep = np.all(np.abs(vals) >= exclusion_tol, axis=1)
+    keep = np.all((np.abs(vals) >= exclusion_tol) & np.isfinite(vals), axis=1)
     signs = np.where(vals[keep] > 0, 1, -1).astype(np.int8)
     unique = np.unique(signs, axis=0) if signs.size else signs
     return {key_of(row.tolist()) for row in unique}

@@ -23,13 +23,12 @@ from relucx import (
     gf2_rank,
     product,
     random_init,
-    region_affine_maps,
     render_db_svg,
 )
 import relucx.model
 import relucx.topology
 from conftest import entries_of, entry, key_of, replace
-from relucx.model import node_map_value_matrix
+from relucx.model import node_map_value_matrix, region_affine_maps
 from relucx.signs import facet_keys, n_zeros, text
 
 
