@@ -253,10 +253,11 @@ def _block_vertices(net, normals, offsets, region_signs, ids, rows, base, contex
     """
     mats = normals[ids[:, None], rows]
     rhss = offsets[ids[:, None], rows]
-    # a zero slogdet sign is the zero LU pivot that solve rejects: those stay NaN
-    ok = np.linalg.slogdet(mats)[0] != 0
     xs = np.full(rhss.shape, np.nan)
-    xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # a zero slogdet sign is the zero LU pivot that solve rejects: those stay NaN
+        ok = np.linalg.slogdet(mats)[0] != 0
+        xs[ok] = np.linalg.solve(mats[ok], -rhss[ok, :, None])[..., 0]
     vals = node_map_value_matrix(net, xs)[:, : normals.shape[1]]
     signs = region_signs[ids]
     unsolved = np.ones(vals.shape, dtype=bool)

@@ -5,14 +5,16 @@ maps on a dense grid and records which all-nonzero sign patterns occur.
 Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
 
-The grid is streamed in chunks of CHUNK_BYTES bytes of node-map values, so
-memory depends on neither the resolution nor the number of node maps; time
-grows as resolution**n0.  A chunk's values are one node-map-major call of
-`node_map_value_matrix`; each becomes a signed entry, 0 within the exclusion
-band or if not finite.  Entry rows are packed into keys by exact float64
-matvecs (`signs.pack`) and deduplicated against the previous point in scan
-order, then by `np.unique`.  Distinct keys with a zero field, from a point
-near a node map's zero set or past an overflow, are dropped at the end.
+The grid is streamed in chunks of at most CHUNK_BYTES bytes of node-map
+values, so memory depends on neither the resolution nor the number of node
+maps; time grows as resolution**n0.  A chunk holds whole runs of the last
+axis, written coordinate-major from the axes, so its points reach the first
+layer's matmul as contiguous rows.  A chunk's values are one node-map-major
+call of `node_map_value_matrix`; each becomes a signed entry, 0 within the
+exclusion band or if not finite.  Entry rows are packed into keys by exact
+float64 matvecs (`signs.pack`) and deduplicated against the previous point in
+scan order, then by `np.unique`.  Distinct keys with a zero field, from a
+point near a node map's zero set or past an overflow, are dropped at the end.
 """
 
 from __future__ import annotations
@@ -65,21 +67,30 @@ class SampleGrid:
         return cls((lo,) * n0, (hi,) * n0, resolution)
 
     def chunks(self, size: int) -> Iterator[np.ndarray]:
-        """The grid points in row-major order, `size` rows at a time.
+        """The grid points in row-major order, at most `size` rows at a time.
 
         The rows are those of `meshgrid(*axes, indexing="ij")` raveled, in
-        the same order; every chunk but the last has `size` rows.
+        the same order.  A run is the `resolution` points along the last axis
+        at fixed leading coordinates; a chunk holds `max(1, size // resolution)`
+        whole runs, or at most `size` points of one run when a run is longer.
+        Each chunk is written coordinate-major into a C-contiguous (n0, P)
+        array straight from the axes and yielded as its (P, n0) transpose.
         """
-        axes = [
-            np.linspace(lo, hi, self.resolution)
-            for lo, hi in zip(self.lower, self.upper)
-        ]
-        shape = (self.resolution,) * len(axes)
-        total = self.resolution ** len(axes)
-        for start in range(0, total, size):
-            flat = np.arange(start, min(start + size, total))
-            index = np.unravel_index(flat, shape)
-            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+        r = self.resolution
+        *lead, last = [np.linspace(lo, hi, r) for lo, hi in zip(self.lower, self.upper)]
+        runs_per_chunk, width = max(1, size // r), min(size, r)
+        runs = r ** len(lead)
+        for first in range(0, runs, runs_per_chunk):
+            run = np.arange(first, min(first + runs_per_chunk, runs))
+            # leading axis k's index of each run: its digit k in base r, most significant first
+            heads = [axis[run // r ** (len(lead) - 1 - k) % r] for k, axis in enumerate(lead)]
+            for start in range(0, r, width):
+                tail = last[start : start + width]
+                out = np.empty((len(heads) + 1, len(run), len(tail)))
+                for row, head in zip(out, heads):
+                    row[...] = head[:, None]
+                out[-1] = tail
+                yield out.reshape(len(out), -1).T
 
 
 def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
@@ -87,9 +98,9 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
 
     Points with any node map within _EXCLUSION_TOL of zero or not finite are
     dropped, so every returned sequence is a genuine open-region sample.  A
-    chunk holds CHUNK_BYTES of node-map values and only its distinct keys are
-    kept, so memory depends on neither the grid's resolution nor the number
-    of node maps.
+    chunk holds at most CHUNK_BYTES of node-map values and only its distinct
+    keys are kept, so memory depends on neither the grid's resolution nor the
+    number of node maps.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")

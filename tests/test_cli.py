@@ -207,6 +207,25 @@ def test_inconsistent_build_exits_degenerate(tmp_path, capsys, arch, seed, comma
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+def test_build_near_float_max_first_layer_is_quiet(tmp_path, capsys):
+    # orthogonal, well-conditioned first-layer rows of size 1e308: their
+    # determinant overflows, and the build reports only its one JSON line
+    data = {
+        "architecture": [2, 2, 1],
+        "layers": [
+            {"weights": [[1e308, 1e308], [1e308, -1e308]], "bias": [0.0, 0.0]},
+            {"weights": [[1.0, 1.0]], "bias": [0.5]},
+        ],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["build", "--model", str(path), "--out", str(tmp_path / "out")]) == EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "degenerate_network"
+
+
 def three_vertex_edge(cx):
     # edge (1,1,1,0) with its three vertex facets, one more than an edge can have
     vertices = tuple(key_of(v) for v in ([0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]))

@@ -45,12 +45,24 @@ def test_sample_grid_rejects_more_points_than_an_index_reaches():
 
 
 def test_sample_grid_chunks(monkeypatch):
-    grid = SampleGrid.square(-1.0, 1.0, 2, 3)
-    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 3)] * 2, indexing="ij")
-    for size in (1, 2, 9, 10):
-        pts = np.concatenate(list(grid.chunks(size)))
-        assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=1))
-        assert [tuple(p) for p in pts[:3]] == [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)]
+    resolution = 5
+    for n0 in (1, 2, 3):
+        grid = SampleGrid(tuple(-1.0 - k for k in range(n0)), tuple(2.0 + k for k in range(n0)),
+                          resolution)
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(grid.lower, grid.upper)]
+        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        runs = resolution ** (n0 - 1)
+        # below, at and above one run, no multiple of a run, the whole grid and above it
+        for size in (1, 2, resolution - 1, resolution, resolution + 1, 3 * resolution - 1,
+                     resolution**n0, resolution**n0 + 7):
+            chunks = list(grid.chunks(size))
+            assert np.array_equal(np.concatenate(chunks), mesh)
+            assert all(0 < len(c) <= size and c.T.flags.c_contiguous for c in chunks)
+            if size >= resolution:  # whole runs, as many as fit
+                assert all(len(c) % resolution == 0 for c in chunks)
+                assert len(chunks) == -(-runs // (size // resolution))
+            else:  # each run in pieces of `size` points
+                assert len(chunks) == runs * -(-resolution // size)
 
     # sample_region_signs sizes its chunks by CHUNK_BYTES of node-map values
     sizes = []
@@ -66,8 +78,9 @@ def test_sample_grid_chunks(monkeypatch):
     sample_region_signs(net, grid)
     assert sizes == [oracle.CHUNK_BYTES // (8 * 11)]
     chunks = list(grid.chunks(sizes[0]))
-    assert len(chunks) == -(-(300**2) // sizes[0])
-    assert all(len(c) == sizes[0] for c in chunks[:-1]) and 0 < len(chunks[-1]) <= sizes[0]
+    per_chunk = sizes[0] // 300 * 300  # whole runs of the last axis
+    assert len(chunks) == -(-(300**2) // per_chunk)
+    assert all(len(c) == per_chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= per_chunk
     assert sum(len(c) for c in chunks) == 300**2
     assert tuple(chunks[0][0]) == (-2.0, 0.5) and tuple(chunks[-1][-1]) == (3.0, 4.0)
 
