@@ -16,6 +16,7 @@ Invalid flag values rejected by the argument parser exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -439,7 +440,9 @@ def _resolution(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `relucx` argument parser, built once per process; each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="relucx",
         description="Exact cell structure and decision-boundary topology of ReLU networks",

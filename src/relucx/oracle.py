@@ -1,39 +1,53 @@
 """An independent check of the builder: grid sampling of the regions.
 
 The sampled route never touches the solver: it evaluates the network's node
-maps on a dense grid and records which all-nonzero sign patterns occur.
+maps at grid points and records which all-nonzero sign patterns occur.
 Every pattern seen this way must be a region reported by the builder, and
 for a fine enough grid the two sets coincide.
 
-The grid is streamed in chunks of at most CHUNK_BYTES bytes of node-map
-values, so memory depends on neither the resolution nor the number of node
-maps; time grows as resolution**n0.  A chunk holds whole runs of the last
-axis, written coordinate-major from the axes, so its points reach the first
-layer's matmul as contiguous rows.  A chunk's values are one node-map-major
-call of `node_map_value_matrix`; each becomes a signed entry, 0 within the
-exclusion band or if not finite.  Entry rows are packed into keys by exact
-float64 matvecs (`signs.pack`) and deduplicated against the previous point in
-scan order, then by `np.unique`.  Distinct keys with a zero field, from a
-point near a node map's zero set or past an overflow, are dropped at the end.
+A point's node-map values are one row of `node_map_value_matrix`; each
+becomes a signed entry, 0 within the exclusion band or if not finite, and
+the entries are packed into a key by exact float64 matvecs (`signs.pack`).
+A point is kept when none of its entries is 0.
+
+Not every grid point is evaluated.  A run, the `resolution` points along the
+last axis at fixed leading coordinates, is bisected: both of its end points
+are evaluated, and a segment between two evaluated points is split at its
+middle grid point, each half keeping the key at its outer end, until both
+ends are kept points with one key or no grid point lies strictly between
+them.  The points where every node map has a fixed sign and lies at least
+the exclusion band away from 0 form a convex set: the first layer's maps are
+affine, so on a segment whose ends agree they keep their signs and margins,
+each next layer's maps are then affine on that segment too, and so on.
+Every grid point between two kept ends of one key therefore has that key and
+is kept, so the keys found are those of all grid points, and time grows
+with the region boundaries each run crosses times log2(resolution), not
+with resolution**n0.
+
+One call evaluates at most CHUNK_BYTES of node-map values, a batch of
+max(1, CHUNK_BYTES // (8 N)) points for N node maps: the middle points of
+the deepest pending segments, and, once none is left pending, the end points
+of new runs.  Working depth-first keeps at most about 2 * batch *
+log2(resolution) segments pending, so memory depends on neither the
+resolution nor the number of node maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterator
 
 import numpy as np
 
 from .model import ReluNetwork, node_map_value_matrix
-from .signs import n_zeros, pack
+from .signs import pack
 
 __all__ = [
     "SampleGrid",
     "sample_region_signs",
 ]
 
-# Bytes of node-map values evaluated at once by sample_region_signs.
+# Bytes of node-map values evaluated by one call in sample_region_signs.
 CHUNK_BYTES = 1 << 18
 
 _EXCLUSION_TOL = 1e-6
@@ -66,51 +80,72 @@ class SampleGrid:
     def square(cls, lo: float, hi: float, n0: int, resolution: int) -> "SampleGrid":
         return cls((lo,) * n0, (hi,) * n0, resolution)
 
-    def chunks(self, size: int) -> Iterator[np.ndarray]:
-        """The grid points in row-major order, at most `size` rows at a time.
-
-        The rows are those of `meshgrid(*axes, indexing="ij")` raveled, in
-        the same order.  A run is the `resolution` points along the last axis
-        at fixed leading coordinates; a chunk holds `max(1, size // resolution)`
-        whole runs, or at most `size` points of one run when a run is longer.
-        Each chunk is written coordinate-major into a C-contiguous (n0, P)
-        array straight from the axes and yielded as its (P, n0) transpose.
-        """
-        r = self.resolution
-        *lead, last = [np.linspace(lo, hi, r) for lo, hi in zip(self.lower, self.upper)]
-        runs_per_chunk, width = max(1, size // r), min(size, r)
-        runs = r ** len(lead)
-        for first in range(0, runs, runs_per_chunk):
-            run = np.arange(first, min(first + runs_per_chunk, runs))
-            # leading axis k's index of each run: its digit k in base r, most significant first
-            heads = [axis[run // r ** (len(lead) - 1 - k) % r] for k, axis in enumerate(lead)]
-            for start in range(0, r, width):
-                tail = last[start : start + width]
-                out = np.empty((len(heads) + 1, len(run), len(tail)))
-                for row, head in zip(out, heads):
-                    row[...] = head[:, None]
-                out[-1] = tail
-                yield out.reshape(len(out), -1).T
-
 
 def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
     """Keys of the region sign sequences witnessed by grid points.
 
     Points with any node map within _EXCLUSION_TOL of zero or not finite are
-    dropped, so every returned sequence is a genuine open-region sample.  A
-    chunk holds at most CHUNK_BYTES of node-map values and only its distinct
-    keys are kept, so memory depends on neither the grid's resolution nor the
-    number of node maps.
+    dropped, so every returned sequence is a genuine open-region sample.  Each
+    run of the last axis is bisected between points of one key (see the module
+    docstring), with at most CHUNK_BYTES of node-map values per call, so memory
+    depends on neither the grid's resolution nor the number of node maps.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
-    n = net.num_node_maps
-    keys: set[int] = set()
-    for points in grid.chunks(max(1, CHUNK_BYTES // (8 * n))):
-        vals = node_map_value_matrix(net, points)
-        # +1 / -1 outside the exclusion band, 0 inside it and for a value that is not finite
-        entries = (vals >= _EXCLUSION_TOL).view(np.int8) - (vals <= -_EXCLUSION_TOL).view(np.int8)
-        np.copyto(entries, 0, where=np.isinf(vals))
-        k = pack(entries)
-        keys.update(np.unique(k[np.concatenate(([True], k[1:] != k[:-1]))]).tolist())
-    return {key for key in keys if not n_zeros(key, n)}
+    r, n0 = grid.resolution, net.n0
+    budget = max(1, CHUNK_BYTES // (8 * net.num_node_maps))
+    axes = [np.linspace(lo, hi, r) for lo, hi in zip(grid.lower, grid.upper)]
+    found: set[int] = set()
+
+    def codes_at(flat: np.ndarray) -> np.ndarray:
+        """Key of each grid point of row-major index `flat` if kept, else -1 - flat."""
+        out = []
+        for start in range(0, len(flat), budget):
+            part = flat[start : start + budget]
+            points = np.empty((n0, len(part)))  # coordinate-major
+            for k, axis in enumerate(axes):  # index on axis k: digit k in base r
+                points[k] = axis[part // r ** (n0 - 1 - k) % r]
+            vals = node_map_value_matrix(net, points.T)
+            # +1 / -1 outside the exclusion band, 0 inside it and for NaN
+            entries = (vals >= _EXCLUSION_TOL).view(np.int8)
+            entries -= (vals <= -_EXCLUSION_TOL).view(np.int8)
+            kept = entries.all(axis=1) & ~np.isinf(vals).any(axis=1)
+            keys = np.where(kept, pack(entries), -1 - part)
+            distinct = np.sort(keys[kept])
+            found.update(distinct[:1].tolist())
+            found.update(distinct[1:][distinct[1:] != distinct[:-1]].tolist())
+            out.append(keys)
+        return np.concatenate(out)
+
+    # Open segments: blocks of (lo, hi) rows of row-major indices and (code at
+    # lo, code at hi) rows.  Depth never decreases along the list nor within a
+    # block, so a call takes the deepest ones.
+    stack: list[tuple[np.ndarray, np.ndarray]] = []
+    runs, started = r ** (n0 - 1), 0
+    while stack or started < runs:
+        pos, code = stack.pop() if stack else (np.empty((2, 0), np.int64),) * 2
+        while stack and pos.shape[1] < budget:
+            below = stack.pop()
+            pos, code = np.hstack([below[0], pos]), np.hstack([below[1], code])
+        if pos.shape[1] > budget:  # the shallowest ones wait
+            stack.append((pos[:, :-budget], code[:, :-budget]))
+            pos, code = pos[:, -budget:], code[:, -budget:]
+        # runs start only once the stack is empty, as many as fill the call
+        count = (budget - pos.shape[1]) // 2 if pos.size else max(1, budget // 2)
+        first = np.arange(started, min(runs, started + count)) * r
+        started += len(first)
+        mid = (pos[0] + pos[1]) // 2
+        codes = codes_at(np.concatenate([mid, first, first + r - 1]))
+        # each half keeps its outer end and takes the middle as its inner end
+        pos, code = np.repeat(pos, 2, axis=1), np.repeat(code, 2, axis=1)
+        pos[1, ::2] = pos[0, 1::2] = mid
+        code[1, ::2] = code[0, 1::2] = codes[: len(mid)]
+        if len(first):  # new runs go below the halves
+            pos = np.concatenate([[first, first + r - 1], pos], axis=1)
+            code = np.concatenate([codes[len(mid) :].reshape(2, -1), code], axis=1)
+        # open while a grid point lies strictly inside and the ends differ: an
+        # excluded point's code is its own
+        open_ = np.flatnonzero((pos[1] - pos[0] > 1) & (code[0] != code[1]))
+        if len(open_):
+            stack.append((pos.take(open_, axis=1), code.take(open_, axis=1)))
+    return found

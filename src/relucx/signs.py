@@ -51,10 +51,6 @@ def _zero_bits(key: int, n: int) -> int:
     return ~(key >> 1) & key & _lo_mask(n)
 
 
-def n_zeros(key: int, n: int) -> int:
-    return _zero_bits(key, n).bit_count()
-
-
 def pack(rows) -> np.ndarray:
     """Keys of the rows of an (R, n) array of entries in {-1, 0, +1}, as an (R,) array.
 

@@ -55,6 +55,11 @@ def key_of(entries) -> int:
 # Key operations that only the tests use; a key does not record its length n
 
 
+def n_zeros(key: int, n: int) -> int:
+    """Number of 0 entries of a key of n entries: fields whose code is 0b01."""
+    return (~(key >> 1) & key & ((1 << 2 * n) - 1) // 3).bit_count()
+
+
 def entries_of(key: int, n: int) -> tuple[int, ...]:
     return tuple(unpack([key], n)[0].tolist())
 

@@ -30,8 +30,8 @@ import relucx.topology
 from relucx.builder import _region_incidence, _unique_vertices
 from relucx.cli import _analyze, main
 from relucx.model import node_map_value_matrix, region_affine_maps
-from relucx.signs import n_zeros, unpack
-from conftest import entries_of, from_text, key_of, zero_positions
+from relucx.signs import unpack
+from conftest import entries_of, from_text, key_of, n_zeros, zero_positions
 from test_signs import equal_zero_vertex_sets, reference_cube_completions
 
 

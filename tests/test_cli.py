@@ -79,6 +79,15 @@ def test_build_svg_output(hand_model, tmp_path):
     assert svg.count("<line") == 3 and svg.count("<circle") == 2
 
 
+def test_parser_is_built_once_and_keeps_no_flags(hand_model, tmp_path):
+    assert relucx.cli.build_parser() is relucx.cli.build_parser()
+    with_svg, without = tmp_path / "with", tmp_path / "without"
+    assert main(["build", "--model", hand_model, "--out", str(with_svg), "--svg"]) == EXIT_OK
+    assert main(["build", "--model", hand_model, "--out", str(without)]) == EXIT_OK
+    assert (with_svg / "db.svg").exists() and not (without / "db.svg").exists()
+    assert (without / "betti.json").exists()
+
+
 # SHA-256 of db.svg from `relucx build --svg` on random_init nets.  Unlike
 # BUILD_DIGESTS these hold coordinates, printed to three decimals.
 SVG_DIGESTS = {

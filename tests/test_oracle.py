@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relucx import SampleGrid, build_complex, random_init, sample_region_signs
 from relucx import oracle
@@ -12,11 +14,15 @@ from relucx.signs import unpack
 from conftest import key_of
 
 
+def grid_points(grid):
+    """Every point of the grid, rows in row-major order of the axes (last axis fastest)."""
+    axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in zip(grid.lower, grid.upper)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def reference_sample_region_signs(net, grid, exclusion_tol=1e-6):
     """The whole-grid sampler: every point at once, row-wise np.unique of int8 signs."""
-    axes = [np.linspace(lo, hi, grid.resolution) for lo, hi in zip(grid.lower, grid.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vals = node_map_value_matrix(net, np.stack([m.ravel() for m in mesh], axis=1))
+    vals = node_map_value_matrix(net, grid_points(grid))
     keep = np.all((np.abs(vals) >= exclusion_tol) & np.isfinite(vals), axis=1)
     signs = np.where(vals[keep] > 0, 1, -1).astype(np.int8)
     unique = np.unique(signs, axis=0) if signs.size else signs
@@ -42,47 +48,6 @@ def test_sample_grid_rejects_more_points_than_an_index_reaches():
     for n0, resolution in ((1, largest + 1), (2, 2**32), (8, 400)):
         with pytest.raises(ValueError, match=rf"^grid of {resolution}\^{n0} points exceeds"):
             SampleGrid.square(0.0, 1.0, n0, resolution)
-
-
-def test_sample_grid_chunks(monkeypatch):
-    resolution = 5
-    for n0 in (1, 2, 3):
-        grid = SampleGrid(tuple(-1.0 - k for k in range(n0)), tuple(2.0 + k for k in range(n0)),
-                          resolution)
-        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(grid.lower, grid.upper)]
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        runs = resolution ** (n0 - 1)
-        # below, at and above one run, no multiple of a run, the whole grid and above it
-        for size in (1, 2, resolution - 1, resolution, resolution + 1, 3 * resolution - 1,
-                     resolution**n0, resolution**n0 + 7):
-            chunks = list(grid.chunks(size))
-            assert np.array_equal(np.concatenate(chunks), mesh)
-            assert all(0 < len(c) <= size and c.T.flags.c_contiguous for c in chunks)
-            if size >= resolution:  # whole runs, as many as fit
-                assert all(len(c) % resolution == 0 for c in chunks)
-                assert len(chunks) == -(-runs // (size // resolution))
-            else:  # each run in pieces of `size` points
-                assert len(chunks) == runs * -(-resolution // size)
-
-    # sample_region_signs sizes its chunks by CHUNK_BYTES of node-map values
-    sizes = []
-    chunks_of = SampleGrid.chunks
-
-    def chunks(grid, size):
-        sizes.append(size)
-        return chunks_of(grid, size)
-
-    monkeypatch.setattr(SampleGrid, "chunks", chunks)
-    grid = SampleGrid((-2.0, 0.5), (3.0, 4.0), 300)
-    net = random_init((2, 5, 5, 1), 0)  # 11 node maps
-    sample_region_signs(net, grid)
-    assert sizes == [oracle.CHUNK_BYTES // (8 * 11)]
-    chunks = list(grid.chunks(sizes[0]))
-    per_chunk = sizes[0] // 300 * 300  # whole runs of the last axis
-    assert len(chunks) == -(-(300**2) // per_chunk)
-    assert all(len(c) == per_chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= per_chunk
-    assert sum(len(c) for c in chunks) == 300**2
-    assert tuple(chunks[0][0]) == (-2.0, 0.5) and tuple(chunks[-1][-1]) == (3.0, 4.0)
 
 
 def test_hand_example_sampled_regions(hand_net):
@@ -128,7 +93,7 @@ def test_streamed_sampling_matches_reference(arch, seed, box, resolution):
     grid = SampleGrid.square(-box, box, arch[0], resolution)
     with np.errstate(over="ignore", invalid="ignore"):
         if box > 1e300:
-            vals = node_map_value_matrix(net, np.concatenate(list(grid.chunks(4096))))
+            vals = node_map_value_matrix(net, grid_points(grid))
             assert np.isinf(vals).sum() > 1000 and np.isnan(vals).any()
         sampled = sample_region_signs(net, grid)
         assert sampled and sampled == reference_sample_region_signs(net, grid)
@@ -163,33 +128,65 @@ def test_sampling_does_not_depend_on_chunk_size(
 ):
     net = hand_net if arch is None else random_init(arch, seed)
     grid = SampleGrid.square(-box, box, net.n0, resolution)
-    points = np.concatenate(list(grid.chunks(4096)))
+    points = grid_points(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         whole = node_map_value_matrix(net, points)
-    if arch is None:  # excluded points fall inside runs and at chunk edges
+    if arch is None:  # excluded points lie inside runs, at their ends and fill a whole run
         on_line = np.flatnonzero((whole == 0).any(axis=1))
         assert len(on_line) > 50 and (np.diff(on_line) == 1).any()
-        assert (on_line % 101 == 0).any() and (on_line % 101 == 100).any()
+        assert {0, resolution // 2, resolution - 1} <= set((on_line % resolution).tolist())
 
-    # Each chunk's values are read from the one whole-grid evaluation: matmul
-    # rounds a row differently by the number of rows it is given, so a value
-    # near the float maximum can overflow in a one-row call and not in the
-    # whole grid's.  This test is about the chunking, not about that rounding.
-    seen = [0]
+    # Each requested point's values are read from the one whole-grid evaluation:
+    # matmul rounds a row differently by the number of rows it is given, so a
+    # value near the float maximum can overflow in a one-row call and not in
+    # the whole grid's.  This test is about the batching, not about that rounding.
+    budget = chunk_points or len(points)
+    axis = np.linspace(-box, box, resolution)
+    requested = []
 
-    def chunk_values(net_, chunk):
-        start = seen[0]
-        seen[0] += len(chunk)
-        assert net_ is net and np.array_equal(chunk, points[start : seen[0]])
-        return whole[start : seen[0]]
+    def grid_values(net_, batch):
+        assert net_ is net and 0 < len(batch) <= budget
+        index = np.minimum(np.searchsorted(axis, batch), resolution - 1)
+        assert np.array_equal(axis[index], batch)  # every requested point is a grid point
+        requested.append(np.ravel_multi_index(tuple(index.T), (resolution,) * net.n0))
+        return whole[requested[-1]]
 
-    monkeypatch.setattr(oracle, "node_map_value_matrix", chunk_values)
-    chunk_bytes = 8 * net.num_node_maps * (chunk_points or len(points))
-    monkeypatch.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(oracle, "node_map_value_matrix", grid_values)
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 8 * net.num_node_maps * budget)
     sampled = sample_region_signs(net, grid)
-    assert seen[0] == len(points)
+    requested = np.concatenate(requested)
+    assert len(np.unique(requested)) == len(requested)  # no point is evaluated twice
     with np.errstate(over="ignore", invalid="ignore"):
         assert sampled and sampled == reference_sample_region_signs(net, grid)
+
+
+def test_hand_example_bisection_evaluates_few_points(monkeypatch, hand_net):
+    grid = SampleGrid.square(-3.0, 3.0, 2, 200)
+    evaluated = []
+
+    def spy(net, points):
+        evaluated.append(len(points))
+        return node_map_value_matrix(net, points)
+
+    monkeypatch.setattr(oracle, "node_map_value_matrix", spy)
+    sampled = sample_region_signs(hand_net, grid)
+    assert sum(evaluated) <= 0.1 * 200**2
+    assert len(sampled) == 7 and sampled == reference_sample_region_signs(hand_net, grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["2,k,1", "2,k,k,1", "3,k,1"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 24),
+    st.floats(1.0, 30.0),
+)
+def test_bisection_matches_reference_on_random_nets(shape, k, seed, resolution, box):
+    arch = tuple(k if part == "k" else int(part) for part in shape.split(","))
+    net = random_init(arch, seed)
+    grid = SampleGrid.square(-box, box, arch[0], resolution)
+    assert sample_region_signs(net, grid) == reference_sample_region_signs(net, grid)
 
 
 def test_sampling_memory_does_not_grow_with_node_maps():

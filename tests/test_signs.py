@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from conftest import concat, entries_of, entry, from_text, key_of, replace, zero_positions
+from conftest import (
+    concat, entries_of, entry, from_text, key_of, n_zeros, replace, zero_positions,
+)
 from relucx import product
-from relucx.signs import completions, cube_closure, n_zeros, pack, text, unpack
+from relucx.signs import completions, cube_closure, pack, text, unpack
 
 
 def naive_product(a: int, b: int, n: int) -> int:

@@ -27,9 +27,9 @@ from relucx import (
 )
 import relucx.model
 import relucx.topology
-from conftest import entries_of, entry, key_of, replace
+from conftest import entries_of, entry, key_of, n_zeros, replace
 from relucx.model import node_map_value_matrix, region_affine_maps
-from relucx.signs import facet_keys, n_zeros, text
+from relucx.signs import facet_keys, text
 
 
 def assemble_state(state):
