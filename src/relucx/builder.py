@@ -14,9 +14,9 @@ A layer's work is done over arrays.  The maps of all its regions are
 composed by one stacked `matmul`, and its candidate systems form one index
 array.  A candidate whose face of its region is bounded, but has a new map
 of one sign at all the face's vertices, cannot meet that face and is
-dropped before any solve.  The rest are solved and checked in blocks of as
-many candidates as BLOCK_BYTES of their node-map values hold, each with one
-batched `solve` and `cond`, bit-equal to one call per candidate, and one
+dropped before any solve.  The rest are solved and checked in blocks of
+`batch_points(net)` candidates (the batch rule in `relucx.model`), each with
+one batched `solve` and `cond`, bit-equal to one call per candidate, and one
 forward pass of the network, whose signs at a point are a region's exactly
 in its closure; the earliest failing candidate refuses the network.  Each
 layer merges the accepted rows in one array pass that keeps one vertex per key.
@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ReluNetwork, node_map_value_matrix, stacked_region_affine_maps
+from .model import ReluNetwork, batch_points, node_map_value_matrix, stacked_region_affine_maps
 from .model import region_affine_maps  # noqa: F401  (unused here; perfbench/tracing.py patches it)
 from .signs import completions, pack, text, unpack
 from .signs import cube_closure  # noqa: F401  (unused here; perfbench/tracing.py patches it)
@@ -74,11 +74,6 @@ _MERGE_TOL = 1e-6
 # a larger condition estimate, makes the network degenerate.
 _DEGENERACY_TOL = 1e-8
 _COND_MAX = 1e12
-
-# Bytes of node-map values, N float64 per candidate, that first_layer_vertices
-# and extend_layer solve and check at once: a block bounds the arrays of one
-# step however many candidates a layer has.
-BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -281,9 +276,7 @@ def _block_vertices(net, normals, offsets, region_signs, ids, rows, base, contex
         lost = closed & unsure.any(axis=1)
         # the whole space (base 0) checks every candidate, the later layers the closed ones
         walk = np.flatnonzero(closed) if base else np.arange(len(rows))
-        vals_new = vals[walk, base:]
     conds = np.linalg.cond(mats[walk])
-    free = unsolved[walk, base:]
 
     def subset(i):
         return tuple(rows[walk[i]].tolist())
@@ -302,17 +295,12 @@ def _block_vertices(net, normals, offsets, region_signs, ids, rows, base, contex
         (~(conds <= _COND_MAX), lambda i: f"{system(i)} has condition estimate {conds[i]:.3e}"),
         (residual[walk] > _RESIDUAL_TOL, lambda i: f"{system(i)} solved with residual "
          f"{residual[walk[i]]:.3e}"),
-        _sign_check(vals_new, free, where),
+        _sign_check(vals[walk, base:], unsolved[walk, base:], where),
     )
-    tails = np.where(free, np.where(vals_new > 0, 1, -1), 0)
-    keys = pack(np.hstack([np.where(remaining[walk], signs[walk], 0), tails]))
+    # a walked row that is not refused has every remaining old map strictly of its region's sign
+    keys = pack(np.where(unsolved[walk], np.where(vals[walk] > 0, 1, -1), 0))
     # every old row is below every new row, so sorting lists the old ones first
     return keys, xs[walk], np.sort(rows[walk], axis=1), residual[walk], conds
-
-
-def _block_size(net: ReluNetwork) -> int:
-    """Candidates per block: as many as BLOCK_BYTES of their node-map values hold."""
-    return max(1, BLOCK_BYTES // (8 * net.num_node_maps))
 
 
 def _solve_candidates(net, normals, offsets, region_signs, ids, rows, base, context):
@@ -320,7 +308,7 @@ def _solve_candidates(net, normals, offsets, region_signs, ids, rows, base, cont
 
     Takes the arguments of `_block_vertices`; returns `_unique_vertices`' columns.
     """
-    block = _block_size(net)
+    block = batch_points(net)
     cuts = range(block, len(ids), block)
     blocks = [
         _block_vertices(net, normals, offsets, region_signs, block_ids, block_rows, base, context)

@@ -7,7 +7,7 @@ trial order, so `stats.csv` is the same for every K.
 
 Exit codes: 0 success, 1 unreadable or malformed model file, bad
 `experiment` input, an unwritable `--out`, an `experiment` trial process
-that ended without sending its result, or an `oracle-check` grid too large
+that could not start or sent no result, or an `oracle-check` grid too large
 to index, 2 degenerate network, or a build whose vertices or cells fail
 their consistency checks, 3 unsupported architecture, 4 oracle violation.
 Invalid flag values rejected by the argument parser exit 2.
@@ -93,7 +93,7 @@ class ExperimentConfig:
 
 
 class TrialProcessError(Exception):
-    """A child process running a span of trials ended without sending its result."""
+    """A child process running a span of trials could not start or sent no result."""
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,18 @@ def _worker_count(workers: int, trials: int) -> int:
 def _fork_span(config: ExperimentConfig, span: range):
     """Start a child that runs `span` and pickles its trial results, or the exception
     that stopped it, into a pipe; returns the child's pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError as exc:
+        raise TrialProcessError(
+            f"could not start the process running trials {span.start}-{span.stop - 1}: {exc}"
+        ) from exc
     if pid == 0:
         status = 1
         try:

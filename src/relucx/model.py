@@ -5,6 +5,11 @@ affine output map at the end.  The node maps are the pre-activations of
 every hidden unit plus the final output, numbered layer-major with units
 ascending; with architecture (n_0, n_1, ..., n_m, 1) there are
 N = n_1 + ... + n_m + 1 of them and the output map is number N.
+
+The batch rule: a batched forward pass (`node_map_value_matrix`) returns all
+N values, 8 N bytes, of each point, so the builder's candidate blocks and the
+oracle's calls take `batch_points(net)` points at a time: as many as
+BATCH_BYTES of values hold, and at least 2, so a grid run's ends fit one call.
 """
 
 from __future__ import annotations
@@ -19,12 +24,16 @@ __all__ = [
     "AffineLayer",
     "ReluNetwork",
     "ModelFormatError",
+    "batch_points",
     "node_map_value_matrix",
     "stacked_region_affine_maps",
     "random_init",
     "read_model",
     "write_model",
 ]
+
+
+BATCH_BYTES = 1 << 18  # of node-map values in one batched forward pass
 
 
 class ModelFormatError(ValueError):
@@ -92,6 +101,11 @@ class ReluNetwork:
     def layer_offset(self, layer: int) -> int:
         """Flat index of the first node map of `layer` (1-based layer number)."""
         return sum(self.architecture[1:layer])
+
+
+def batch_points(net: ReluNetwork) -> int:
+    """Points per batched forward pass: as many as BATCH_BYTES of values hold, at least 2."""
+    return max(2, BATCH_BYTES // (8 * net.num_node_maps))
 
 
 def node_map_value_matrix(net: ReluNetwork, points: np.ndarray) -> np.ndarray:

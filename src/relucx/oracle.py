@@ -24,12 +24,11 @@ is kept, so the keys found are those of all grid points, and time grows
 with the region boundaries each run crosses times log2(resolution), not
 with resolution**n0.
 
-One call evaluates at most CHUNK_BYTES of node-map values, a batch of
-max(1, CHUNK_BYTES // (8 N)) points for N node maps: the middle points of
-the deepest pending segments, and, once none is left pending, the end points
-of new runs.  Working depth-first keeps at most about 2 * batch *
-log2(resolution) segments pending, so memory depends on neither the
-resolution nor the number of node maps.
+One call evaluates at most `batch_points(net)` points (the batch rule in
+`relucx.model`): the middle points of the deepest pending segments, and, once
+none is left pending, the end points of new runs.  Working depth-first keeps
+at most about 2 * batch * log2(resolution) segments pending, so memory
+depends on neither the resolution nor the number of node maps.
 """
 
 from __future__ import annotations
@@ -39,16 +38,13 @@ from math import isfinite
 
 import numpy as np
 
-from .model import ReluNetwork, node_map_value_matrix
+from .model import ReluNetwork, batch_points, node_map_value_matrix
 from .signs import pack
 
 __all__ = [
     "SampleGrid",
     "sample_region_signs",
 ]
-
-# Bytes of node-map values evaluated by one call in sample_region_signs.
-CHUNK_BYTES = 1 << 18
 
 _EXCLUSION_TOL = 1e-6
 
@@ -87,35 +83,15 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
     Points with any node map within _EXCLUSION_TOL of zero or not finite are
     dropped, so every returned sequence is a genuine open-region sample.  Each
     run of the last axis is bisected between points of one key (see the module
-    docstring), with at most CHUNK_BYTES of node-map values per call, so memory
+    docstring), with at most `batch_points(net)` points per call, so memory
     depends on neither the grid's resolution nor the number of node maps.
     """
     if len(grid.lower) != net.n0:
         raise ValueError(f"grid dimension {len(grid.lower)} != network input {net.n0}")
     r, n0 = grid.resolution, net.n0
-    budget = max(1, CHUNK_BYTES // (8 * net.num_node_maps))
+    budget = batch_points(net)  # at least 2: a new run's two end points fit one call
     axes = [np.linspace(lo, hi, r) for lo, hi in zip(grid.lower, grid.upper)]
     found: set[int] = set()
-
-    def codes_at(flat: np.ndarray) -> np.ndarray:
-        """Key of each grid point of row-major index `flat` if kept, else -1 - flat."""
-        out = []
-        for start in range(0, len(flat), budget):
-            part = flat[start : start + budget]
-            points = np.empty((n0, len(part)))  # coordinate-major
-            for k, axis in enumerate(axes):  # index on axis k: digit k in base r
-                points[k] = axis[part // r ** (n0 - 1 - k) % r]
-            vals = node_map_value_matrix(net, points.T)
-            # +1 / -1 outside the exclusion band, 0 inside it and for NaN
-            entries = (vals >= _EXCLUSION_TOL).view(np.int8)
-            entries -= (vals <= -_EXCLUSION_TOL).view(np.int8)
-            kept = entries.all(axis=1) & ~np.isinf(vals).any(axis=1)
-            keys = np.where(kept, pack(entries), -1 - part)
-            distinct = np.sort(keys[kept])
-            found.update(distinct[:1].tolist())
-            found.update(distinct[1:][distinct[1:] != distinct[:-1]].tolist())
-            out.append(keys)
-        return np.concatenate(out)
 
     # Open segments: blocks of (lo, hi) rows of row-major indices and (code at
     # lo, code at hi) rows.  Depth never decreases along the list nor within a
@@ -131,11 +107,24 @@ def sample_region_signs(net: ReluNetwork, grid: SampleGrid) -> set[int]:
             stack.append((pos[:, :-budget], code[:, :-budget]))
             pos, code = pos[:, -budget:], code[:, -budget:]
         # runs start only once the stack is empty, as many as fill the call
-        count = (budget - pos.shape[1]) // 2 if pos.size else max(1, budget // 2)
+        count = (budget - pos.shape[1]) // 2
         first = np.arange(started, min(runs, started + count)) * r
         started += len(first)
         mid = (pos[0] + pos[1]) // 2
-        codes = codes_at(np.concatenate([mid, first, first + r - 1]))
+        flat = np.concatenate([mid, first, first + r - 1])  # row-major grid indices
+        points = np.empty((n0, len(flat)))  # coordinate-major
+        for k, axis in enumerate(axes):  # index on axis k: digit k in base r
+            points[k] = axis[flat // r ** (n0 - 1 - k) % r]
+        vals = node_map_value_matrix(net, points.T)
+        # +1 / -1 outside the exclusion band, 0 inside it and for NaN
+        entries = (vals >= _EXCLUSION_TOL).view(np.int8)
+        entries -= (vals <= -_EXCLUSION_TOL).view(np.int8)
+        kept = entries.all(axis=1) & ~np.isinf(vals).any(axis=1)
+        # a point's code is its key if kept, else -1 - its index
+        codes = np.where(kept, pack(entries), -1 - flat)
+        distinct = np.sort(codes[kept])
+        found.update(distinct[:1].tolist())
+        found.update(distinct[1:][distinct[1:] != distinct[:-1]].tolist())
         # each half keeps its outer end and takes the middle as its inner end
         pos, code = np.repeat(pos, 2, axis=1), np.repeat(code, 2, axis=1)
         pos[1, ::2] = pos[0, 1::2] = mid

@@ -31,8 +31,6 @@ __all__ = [
     "unpack",
 ]
 
-# Keys of up to this many two-bit fields are int64 arrays, longer ones Python ints.
-_WORD_FIELDS = 31
 # Fields summed by one float64 matvec in `pack`: every product and partial sum
 # is an integer below 2 * 4**26 / 3 < 2**53, so the sum is exact in any order.
 _FLOAT_FIELDS = 26
@@ -44,6 +42,11 @@ _ENTRY_TEXT = ("-1", "0", "1")  # by code
 def _lo_mask(n: int) -> int:
     """Integer with the low bit of each of the n two-bit fields set."""
     return ((1 << (2 * n)) - 1) // 3
+
+
+def _key_dtype(n: int):
+    """The dtype of arrays of keys of n entries: int64 up to n = 31, else object (Python ints)."""
+    return np.int64 if n <= 31 else object
 
 
 def _zero_bits(key: int, n: int) -> int:
@@ -60,7 +63,7 @@ def pack(rows) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[1]
-    keys = np.zeros(len(rows), dtype=np.int64 if n <= _WORD_FIELDS else object)
+    keys = np.zeros(len(rows), dtype=_key_dtype(n))
     for lo in range(0, n, _FLOAT_FIELDS):
         weights = 4.0 ** np.arange(min(_FLOAT_FIELDS, n - lo) - 1, -1, -1)
         # sum (e + 1) * w without a copy of the rows for the + 1; k weights sum to (4**k - 1) / 3
@@ -71,7 +74,7 @@ def pack(rows) -> np.ndarray:
 
 def unpack(keys, n: int) -> np.ndarray:
     """Entries of keys of n entries, as an (R, n) int8 array: the inverse of `pack`."""
-    keys = np.asarray(keys, dtype=np.int64 if n <= _WORD_FIELDS else object)
+    keys = np.asarray(keys, dtype=_key_dtype(n))
     shifts = np.arange(2 * n - 2, -1, -2, dtype=np.int64)
     return ((keys[:, None] >> shifts) & 3).astype(np.int8) - 1
 
@@ -109,7 +112,7 @@ def completions(keys, zero_positions, n: int, values) -> np.ndarray:
     positions zero_positions[v] (a (V, n0) array), in `itertools.product` order: the key
     XOR its zero fields' 0b01, OR value codes.  int64 for n <= 31, else Python ints.
     """
-    dtype = np.int64 if n <= _WORD_FIELDS else object
+    dtype = _key_dtype(n)
     shifts = (2 * (n - 1 - np.asarray(zero_positions, dtype=np.int64))).astype(dtype)
     codes = np.array([v + 1 for v in values], dtype=dtype)
     out = np.asarray(keys, dtype=dtype)[:, None]
@@ -124,7 +127,7 @@ def cube_closure(vertex_keys, n: int) -> dict[int, tuple[int, ...]]:
     Returns the cell keys graded by zero count, ascending, each grade an ascending
     tuple, with empty grades left out; grade 0 holds the top-dimensional regions.
     """
-    keys = np.asarray(vertex_keys, dtype=np.int64 if n <= _WORD_FIELDS else object)
+    keys = np.asarray(vertex_keys, dtype=_key_dtype(n))
     if not len(keys):
         return {}
     if keys.max() >> 2 * n:

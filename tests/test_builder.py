@@ -26,6 +26,7 @@ from relucx import (
     write_model,
 )
 import relucx.builder
+import relucx.model
 import relucx.topology
 from relucx.builder import _region_incidence, _unique_vertices
 from relucx.cli import _analyze, main
@@ -889,15 +890,15 @@ def test_duplicates_resolve_independent_of_order():
 # ---------------------------------------------------------------------------
 # candidate blocks: the split into blocks changes nothing
 
-# candidates per block; None is the default, as many as fill BLOCK_BYTES
+# candidates per block; None is the default, the model's batch rule
 BLOCK_SIZES = (1, 3, 128, None)
-DEFAULT_BLOCK_SIZE = relucx.builder._block_size
+DEFAULT_BLOCK_SIZE = relucx.builder.batch_points
 
 
 def use_block(monkeypatch, block):
     """Solve `block` candidates at a time, or as many as the default allows for None."""
     size = DEFAULT_BLOCK_SIZE if block is None else (lambda net: block)
-    monkeypatch.setattr(relucx.builder, "_block_size", size)
+    monkeypatch.setattr(relucx.builder, "batch_points", size)
 
 
 def state_fingerprint(state):
@@ -978,11 +979,11 @@ def test_ill_conditioned_accepted_system_raises(monkeypatch):
         reference_new_vertices(net, 2, state)
 
 
-@pytest.mark.parametrize("budget", [1000, relucx.builder.BLOCK_BYTES])
+@pytest.mark.parametrize("budget", [1000, 1 << 16, relucx.model.BATCH_BYTES])
 def test_no_solve_exceeds_one_block(monkeypatch, budget):
     # every block's node-map values, 8 bytes for each of the N maps per candidate,
-    # fit the budget, or the block is one candidate, and a layer with candidates
-    # to spare fills its blocks
+    # fit the budget, or the block is at most two candidates, and a layer with
+    # candidates to spare fills its blocks
     block_vertices, solve = relucx.builder._block_vertices, np.linalg.solve
     blocks, batches = [], []
 
@@ -996,11 +997,11 @@ def test_no_solve_exceeds_one_block(monkeypatch, budget):
 
     monkeypatch.setattr(relucx.builder, "_block_vertices", block_spy)
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
-    monkeypatch.setattr(relucx.builder, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(relucx.model, "BATCH_BYTES", budget)
     for arch in ((2, 8, 8, 1), (3, 6, 6, 1), (2, 20, 1)):
         build_complex(random_init(arch, 0))
-    assert all(count == 1 or count * nbytes <= budget for count, nbytes in blocks)
-    assert any(count == max(1, budget // nbytes) for count, nbytes in blocks)
+    assert all(count <= 2 or count * nbytes <= budget for count, nbytes in blocks)
+    assert any(count == max(2, budget // nbytes) for count, nbytes in blocks)
     assert max(batches) <= max(count for count, _ in blocks)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, determinism, fault injection."""
 
+import errno
 import hashlib
 import json
 import os
@@ -798,6 +799,34 @@ def test_child_dying_without_result(tmp_path, capsys, cpus, monkeypatch, die, ho
     assert_no_children()
 
 
+@pytest.mark.parametrize(
+    "call,error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)], ids=["fork", "pipe"]
+)
+def test_child_that_cannot_start(tmp_path, capsys, cpus, monkeypatch, call, error):
+    # trials 0-1 run here, 2-3 in a first child and 4-5 in a second one that
+    # cannot start; the first child is then stopped and reaped
+    cpus(3)
+    real = getattr(os, call)
+    calls = []
+
+    def second_fails():
+        calls.append(call)
+        if len(calls) == 2:
+            raise OSError(error, os.strerror(error))
+        return real()
+
+    monkeypatch.setattr(os, call, second_fails)
+    assert main(experiment_argv(tmp_path, 3, trials=6)) == EXIT_BAD_MODEL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: could not start the process running trials 4-5: "
+        f"[Errno {error}] {os.strerror(error)}\n"
+    )
+    assert not (tmp_path / "stats.csv").exists()
+    assert_no_children()
+
+
 def test_parent_failure_stops_children(cpus, monkeypatch):
     cpus(2)
     parent = os.getpid()
@@ -927,3 +956,17 @@ def test_tolerance_flags_rejected(tmp_path, capsys):
     assert captured.out == "" and "error: unrecognized arguments" in captured.err
     assert not out.exists()
 
+
+
+# ---------------------------------------------------------------------------
+# the README's Library example
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("\n## Library\n")) + len("```python\n")
+    code = readme[start : readme.index("\n```", start)]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert_no_children()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].isdigit() and lines[3].startswith("['(")  # region count, vertex texts

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relucx import SampleGrid, build_complex, random_init, sample_region_signs
-from relucx import oracle
+from relucx import model, oracle
 from relucx.model import node_map_value_matrix
 from relucx.signs import unpack
 from conftest import key_of
@@ -113,7 +113,7 @@ def test_sampling_memory_does_not_grow_with_resolution():
     assert peak < 64e6
 
 
-@pytest.mark.parametrize("chunk_points", [1, 101, None], ids=["one-point", "prime", "whole-grid"])
+@pytest.mark.parametrize("chunk_points", [2, 101, None], ids=["two-point", "prime", "whole-grid"])
 @pytest.mark.parametrize(
     "arch,seed,box,resolution",
     [
@@ -152,7 +152,7 @@ def test_sampling_does_not_depend_on_chunk_size(
         return whole[requested[-1]]
 
     monkeypatch.setattr(oracle, "node_map_value_matrix", grid_values)
-    monkeypatch.setattr(oracle, "CHUNK_BYTES", 8 * net.num_node_maps * budget)
+    monkeypatch.setattr(model, "BATCH_BYTES", 8 * net.num_node_maps * budget)
     sampled = sample_region_signs(net, grid)
     requested = np.concatenate(requested)
     assert len(np.unique(requested)) == len(requested)  # no point is evaluated twice
@@ -198,7 +198,7 @@ def test_sampling_memory_does_not_grow_with_node_maps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the grid's value matrix is 63 MB; one chunk's values are CHUNK_BYTES
+    # the grid's value matrix is 63 MB; one call's values are model.BATCH_BYTES
     assert peak < 4e6
 
 
